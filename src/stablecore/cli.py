@@ -133,7 +133,18 @@ def write_report(item) -> str:
             report_to_obj(x) if isinstance(x, AnalysisReport) else verdict_to_obj(x)
             for x in item
         ]
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # An exact count of maximum stable sets passes the interpreter's limit on
+    # int-to-str conversion (4300 digits by default) from about 10^5 vertices.
+    # The limit is lifted for this dump only: parse_tree_text calls int() on
+    # outside input and relies on it. Python before 3.10.7 has no limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def export_dot(t: Tree, rep: AnalysisReport) -> str:

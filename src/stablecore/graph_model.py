@@ -389,9 +389,11 @@ def random_tree(n: int, seed: int) -> Tree:
     """Uniform random labeled tree on n vertices: a uniform Prufer code, decoded."""
     if n < 2:
         raise TooSmall(f"need n >= 2, got n={n}")
-    if n == 2:
-        return prufer_decode((), 2)
-    rng = SplitMix64(seed)
+    return _prufer_draw(SplitMix64(seed), n)
+
+
+def _prufer_draw(rng: SplitMix64, n: int) -> Tree:
+    """Decode the Prufer code of n - 2 uniform draws from ``rng``."""
     return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
 
 

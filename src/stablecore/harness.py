@@ -38,13 +38,17 @@ Registry:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from multiprocessing import get_context
 from typing import Iterable, Iterator
 
 from .errors import ScaleExceeded, StablecoreError, TooLarge, TooSmall
 from .graph_model import (
+    DEFAULT_ENUMERATION_CEILING,
+    Bipartition,
     SplitMix64,
     Tree,
+    _prufer_draw,
     bfs_depths,
     bipartition,
     canonical_form,
@@ -54,19 +58,18 @@ from .graph_model import (
     labeled_tree_at,
     labeled_tree_count,
     pendant_vertices,
-    prufer_decode,
     tree_from_edges,
 )
 from .independence import (
     SmallGraph,
+    _mask_to_set,
+    _Rooted,
     alpha,
     alpha_forest,
     core,
-    count_maximum_stable_sets,
     enumerate_maximal_stable_sets,
-    enumerate_maximum_stable_sets,
     extend_pendant_set,
-    mu,
+    is_strong_unique_by_definition,
     one_maximum_stable_set,
     small_graph_from_edges,
     small_graph_from_tree,
@@ -84,7 +87,6 @@ DEFAULT_SCAN_CEILING = 16
 SCAN_CLAIMS = frozenset({"C1", "C2", "C6", "C8", "E1"})
 
 DEFAULT_WITNESS_LIMIT = 16
-DEFAULT_ENUMERATION_CEILING = 9
 
 _CHUNK = 2048
 
@@ -165,90 +167,52 @@ def fig5_tree() -> Tree:
 
 
 class _TreeFacts:
-    __slots__ = (
-        "tree", "_alpha", "_mu", "_core", "_pend", "_bip",
-        "_depth0", "_count", "_graph", "_stable", "_dist2",
-    )
-
     def __init__(self, tree: Tree):
         self.tree = tree
-        self._alpha = None
-        self._mu = None
-        self._core = None
-        self._pend = None
-        self._bip = None
-        self._depth0 = None
-        self._count = None
-        self._graph = None
-        self._stable = None
-        self._dist2 = None
 
+    @cached_property
+    def rooted(self) -> _Rooted:
+        return _Rooted(self.tree)
+
+    @cached_property
     def alpha(self) -> int:
-        if self._alpha is None:
-            self._alpha = alpha(self.tree)
-        return self._alpha
+        return self.rooted.alpha()
 
-    def mu(self) -> int:
-        if self._mu is None:
-            self._mu = mu(self.tree)
-        return self._mu
-
+    @cached_property
     def core(self) -> frozenset[int]:
-        if self._core is None:
-            self._core = core(self.tree)
-        return self._core
+        return self.rooted.core()
 
+    @cached_property
     def pend(self) -> frozenset[int]:
-        if self._pend is None:
-            self._pend = pendant_vertices(self.tree)
-        return self._pend
+        return pendant_vertices(self.tree)
 
-    def bip(self):
-        if self._bip is None:
-            self._bip = bipartition(self.tree)
-        return self._bip
+    @cached_property
+    def bip(self) -> Bipartition:
+        return bipartition(self.tree)
 
+    @cached_property
     def depth0(self) -> list[int]:
-        if self._depth0 is None:
-            self._depth0 = bfs_depths(self.tree, 0)
-        return self._depth0
+        return bfs_depths(self.tree, 0)
 
-    def count(self) -> int:
-        if self._count is None:
-            self._count = count_maximum_stable_sets(self.tree)
-        return self._count
-
+    @cached_property
     def graph(self) -> SmallGraph:
-        if self._graph is None:
-            self._graph = small_graph_from_tree(self.tree)
-        return self._graph
+        return small_graph_from_tree(self.tree)
 
+    @cached_property
     def stable(self) -> list[int]:
-        if self._stable is None:
-            self._stable = stable_masks(self.graph())
-        return self._stable
+        return stable_masks(self.graph)
 
+    @cached_property
     def dist2(self) -> list[int]:
         # dist2[v]: bitmask of vertices at distance exactly 2 from v
-        if self._dist2 is None:
-            adj = self.graph().adjacency_masks
-            out = []
-            for v in range(self.tree.n):
-                nn = 0
-                for w in self.tree.adjacency[v]:
-                    nn |= adj[w]
-                out.append(nn & ~adj[v] & ~(1 << v))
-            self._dist2 = out
-        return self._dist2
-
-
-def _members(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+        adj = self.graph.adjacency_masks
+        out = []
+        for v in range(self.tree.n):
+            nn = 0
+            for w in self.tree.adjacency[v]:
+                nn |= adj[w]
+            out.append(nn & ~adj[v] & ~(1 << v))
+        return out
 
 
 def _set_mask(vertices: Iterable[int]) -> int:
@@ -271,10 +235,10 @@ def _check_c1(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
     _require_scan_scale("C1", t.n, scan_ceiling)
     n = t.n
-    pend_mask = _set_mask(facts.pend())
-    for m in facts.stable():
+    pend_mask = _set_mask(facts.pend)
+    for m in facts.stable:
         if 2 * m.bit_count() >= n and not (m & pend_mask):
-            return REFUTED, {"stable_set": _members(m)}
+            return REFUTED, {"stable_set": sorted(_mask_to_set(m))}
     return HOLDS, None
 
 
@@ -282,9 +246,9 @@ def _check_c2(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
     _require_scan_scale("C2", t.n, scan_ceiling)
     n = t.n
-    pend_mask = _set_mask(facts.pend())
-    dist2 = facts.dist2()
-    for m in facts.stable():
+    pend_mask = _set_mask(facts.pend)
+    dist2 = facts.dist2
+    for m in facts.stable:
         if 2 * m.bit_count() < n or not (m & ~pend_mask):
             continue
         probe = m & pend_mask
@@ -296,17 +260,17 @@ def _check_c2(facts: _TreeFacts, scan_ceiling: int):
                 found = True
                 break
         if not found:
-            return REFUTED, {"stable_set": _members(m)}
+            return REFUTED, {"stable_set": sorted(_mask_to_set(m))}
     return HOLDS, None
 
 
 def _check_c3(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    pend = facts.pend()
+    pend = facts.pend
     if len(pend) == t.n:
         return HOLDS, None
     rest = delete_vertices(t, pend)
-    if alpha_forest(rest) < facts.alpha():
+    if alpha_forest(rest) < facts.alpha:
         return HOLDS, None
     # a maximum stable set that avoids every pendant vertex exists; build one
     avoid = []
@@ -320,10 +284,10 @@ def _check_c3(facts: _TreeFacts, scan_ceiling: int):
 
 def _check_c4(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    if 2 * facts.alpha() != t.n:
+    if 2 * facts.alpha != t.n:
         return NOT_APPLICABLE, None
-    pend = facts.pend()
-    sides = facts.bip()
+    pend = facts.pend
+    sides = facts.bip
     if (pend & sides.a) and (pend & sides.b):
         return HOLDS, None
     return REFUTED, {
@@ -335,17 +299,13 @@ def _check_c4(facts: _TreeFacts, scan_ceiling: int):
 
 def _check_c5(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    pend = facts.pend()
-    sides = facts.bip()
+    pend = facts.pend
+    sides = facts.bip
     one_side = pend <= sides.a or pend <= sides.b
-    depth = facts.depth0()
+    depth = facts.depth0
     parities = {depth[v] % 2 for v in pend}
     even_dists = len(parities) == 1
-    if facts.count() != 1:
-        definitional = False
-    else:
-        (s,) = enumerate_maximum_stable_sets(t, limit=1)
-        definitional = all(u in s or v in s for u, v in t.edges)
+    definitional = is_strong_unique_by_definition(t)
     if definitional == one_side == even_dists:
         return HOLDS, None
     return REFUTED, {
@@ -358,15 +318,15 @@ def _check_c5(facts: _TreeFacts, scan_ceiling: int):
 def _check_c6(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
     _require_scan_scale("C6", t.n, scan_ceiling)
-    sides = facts.bip()
+    sides = facts.bip
     smaller = min(len(sides.a), len(sides.b))
-    pend_mask = _set_mask(facts.pend())
-    dist2 = facts.dist2()
-    for m in facts.stable():
+    pend_mask = _set_mask(facts.pend)
+    dist2 = facts.dist2
+    for m in facts.stable:
         if m.bit_count() <= smaller:
             continue
         if not (m & pend_mask):
-            return REFUTED, {"stable_set": _members(m), "missing": "pendant member"}
+            return REFUTED, {"stable_set": sorted(_mask_to_set(m)), "missing": "pendant member"}
         probe = m & pend_mask
         found = False
         while probe:
@@ -376,14 +336,14 @@ def _check_c6(facts: _TreeFacts, scan_ceiling: int):
                 found = True
                 break
         if not found:
-            return REFUTED, {"stable_set": _members(m), "missing": "distance-2 pair"}
+            return REFUTED, {"stable_set": sorted(_mask_to_set(m)), "missing": "distance-2 pair"}
     return HOLDS, None
 
 
 def _check_c7(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    a = facts.alpha()
-    xi = len(facts.core())
+    a = facts.alpha
+    xi = len(facts.core)
     surplus_ok = (2 * a > t.n) == (xi >= 2)
     matched_ok = (2 * a == t.n) == (xi == 0)
     if surplus_ok and matched_ok:
@@ -394,9 +354,9 @@ def _check_c7(facts: _TreeFacts, scan_ceiling: int):
 def _check_c8(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
     _require_scan_scale("C8", t.n, scan_ceiling)
-    pend = sorted(facts.pend())
-    adj = facts.graph().adjacency_masks
-    a_target = facts.alpha()
+    pend = sorted(facts.pend)
+    adj = facts.graph.adjacency_masks
+    a_target = facts.alpha
     for bits in range(1, 1 << len(pend)):
         subset = [pend[i] for i in range(len(pend)) if bits >> i & 1]
         m = _set_mask(subset)
@@ -452,8 +412,8 @@ def _check_c9(facts: _TreeFacts, scan_ceiling: int):
     internal = [v for v in range(t.n) if t.degree(v) >= 2]
     if not internal:
         return NOT_APPLICABLE, None
-    core_t = facts.core()
-    alpha_t = facts.alpha()
+    core_t = facts.core
+    alpha_t = facts.alpha
     for v in internal:
         for u in t.adjacency[v]:
             t1, v1, map1, t2, v2, map2 = _split_at(t, v, u)
@@ -484,9 +444,9 @@ def _check_c9(facts: _TreeFacts, scan_ceiling: int):
 
 def _check_c10(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    if 2 * facts.alpha() <= t.n:
+    if 2 * facts.alpha <= t.n:
         return NOT_APPLICABLE, None
-    cp = facts.core() & facts.pend()
+    cp = facts.core & facts.pend
     if len(cp) >= 2:
         return HOLDS, None
     return REFUTED, {"core_pendants": sorted(cp)}
@@ -494,13 +454,13 @@ def _check_c10(facts: _TreeFacts, scan_ceiling: int):
 
 def _check_c11(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    if 2 * facts.alpha() <= t.n:
+    if 2 * facts.alpha <= t.n:
         return NOT_APPLICABLE, None
-    core_set = facts.core()
+    core_set = facts.core
     max_deg = max((t.degree(v) for v in core_set), default=0)
     if max_deg < 4:
         return NOT_APPLICABLE, None
-    cp = facts.core() & facts.pend()
+    cp = facts.core & facts.pend
     for k in range(2, max_deg // 2 + 1):
         if len(cp) < 2 * k:
             return REFUTED, {
@@ -511,10 +471,10 @@ def _check_c11(facts: _TreeFacts, scan_ceiling: int):
 
 def _check_c12(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    if 2 * facts.alpha() <= t.n:
+    if 2 * facts.alpha <= t.n:
         return NOT_APPLICABLE, None
-    cp = sorted(facts.core() & facts.pend())
-    depth = facts.depth0()
+    cp = sorted(facts.core & facts.pend)
+    depth = facts.depth0
     even = [v for v in cp if depth[v] % 2 == 0]
     odd = [v for v in cp if depth[v] % 2 == 1]
     if max(len(even), len(odd)) < 2:
@@ -527,25 +487,27 @@ def _check_c12(facts: _TreeFacts, scan_ceiling: int):
 
 
 def _check_c13(facts: _TreeFacts, scan_ceiling: int):
-    xi = len(facts.core())
-    bound = 1 + facts.alpha() - facts.mu()
+    xi = len(facts.core)
+    a = facts.alpha
+    matching = facts.tree.n - a  # alpha + mu = n on trees (Konig-Egervary)
+    bound = 1 + a - matching
     if xi >= bound:
         return HOLDS, None
-    return REFUTED, {"xi": xi, "alpha": facts.alpha(), "mu": facts.mu(), "bound": bound}
+    return REFUTED, {"xi": xi, "alpha": a, "mu": matching, "bound": bound}
 
 
 def _check_e1(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
     _require_scan_scale("E1", t.n, scan_ceiling)
-    sides = facts.bip()
-    perfect = 2 * facts.mu() == t.n
+    sides = facts.bip
+    perfect = 2 * facts.alpha == t.n
     ks = []
     if t.n % 2 == 0:
         ks.append(t.n // 2)
     k2 = min(len(sides.a), len(sides.b))
     if k2 not in ks:
         ks.append(k2)
-    pend = facts.pend()
+    pend = facts.pend
     maximal = enumerate_maximal_stable_sets(t, limit=1 << 20)
     measurements = []
     for k in sorted(ks):
@@ -580,19 +542,13 @@ _CHECKERS = {
 }
 
 
-def _check_with_facts(claim: str, facts: _TreeFacts, scan_ceiling: int) -> ClaimResult:
-    status, witness = _CHECKERS[claim](facts, scan_ceiling)
-    return ClaimResult(
-        claim=claim, tree=serialize_tree(facts.tree), status=status, witness=witness
-    )
-
-
 def check_tree(claim: str, t: Tree, scan_ceiling: int = DEFAULT_SCAN_CEILING) -> ClaimResult:
     """Evaluate one claim on one tree. Raises ScaleExceeded when the claim
     needs an exhaustive scan and the tree is too large for it."""
     if claim not in _CHECKERS:
         raise StablecoreError(f"unknown claim {claim!r}; valid: {', '.join(CLAIM_IDS)}")
-    return _check_with_facts(claim, _TreeFacts(t), scan_ceiling)
+    status, witness = _CHECKERS[claim](_TreeFacts(t), scan_ceiling)
+    return ClaimResult(claim=claim, tree=serialize_tree(t), status=status, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +596,7 @@ def corpus_tree(spec: CorpusSpec, index: int) -> Tree:
         raise StablecoreError("index beyond corpus end")
     rng = SplitMix64(derive_seed(spec.seed, index))
     n = spec.n_min + rng.randrange(spec.n_max - spec.n_min + 1)
-    if n == 2:
-        return prufer_decode((), 2)
-    return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+    return _prufer_draw(rng, n)
 
 
 def iter_corpus(
@@ -683,18 +637,20 @@ def _process_chunk(payload):
         for c in claims:
             entry = stats[c]
             try:
-                res = _check_with_facts(c, facts, scan_ceiling)
+                status, witness = _CHECKERS[c](facts, scan_ceiling)
             except ScaleExceeded:
                 entry[2] += 1
                 continue
-            if res.status == HOLDS:
+            if status == HOLDS:
                 entry[0] += 1
-            elif res.status == REFUTED:
+            elif status == REFUTED:
                 entry[1] += 1
             else:
                 entry[2] += 1
-            if res.witness is not None:
-                entry[3].append(res)
+            if witness is not None:
+                entry[3].append(ClaimResult(
+                    claim=c, tree=serialize_tree(t), status=status, witness=witness
+                ))
     for c in claims:
         wl = stats[c][3]
         wl.sort(key=_canonical_key)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import LimitExceeded, NotPendant, NotStable, StablecoreError, TooLarge
 from .graph_model import (
@@ -32,78 +32,126 @@ from .graph_model import (
 BRUTE_FORCE_CEILING = 30
 
 
-def _rooted_arrays(t: Tree):
-    """Downward include/exclude DP over the tree rooted at vertex 0.
+class _Rooted:
+    """A tree rooted at vertex 0 with its downward include/exclude DP, built
+    once and read by every stability quantity of the tree.
 
-    Returns (order, parent, down_in, down_ex, sum_ex, sum_best) where
-    down_in[v]/down_ex[v] are the subtree optima with v forced in/out and
-    sum_ex/sum_best are the child sums they were assembled from.
+    ``order``/``parent`` come from the breadth-first traversal from vertex 0;
+    down_in[v]/down_ex[v] are the optima of v's subtree with v forced in/out,
+    and sum_ex/sum_best are the child sums they were assembled from.
     """
-    n = t.n
-    adjacency = t.adjacency
-    parent = [-1] * n
-    parent[0] = 0
-    order = [0]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in adjacency[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
-    down_in = [1] * n
-    down_ex = [0] * n
-    sum_ex = [0] * n
-    sum_best = [0] * n
-    for v in order[:0:-1]:
-        di = 1 + sum_ex[v]
-        de = sum_best[v]
-        down_in[v] = di
-        down_ex[v] = de
-        p = parent[v]
-        sum_ex[p] += de
-        sum_best[p] += di if di > de else de
-    down_in[0] = 1 + sum_ex[0]
-    down_ex[0] = sum_best[0]
-    return order, parent, down_in, down_ex, sum_ex, sum_best
+
+    __slots__ = ("order", "parent", "down_in", "down_ex", "sum_ex", "sum_best")
+
+    def __init__(self, t: Tree):
+        n = t.n
+        order, parent = _bfs_order(t, 0)
+        down_in = [1] * n
+        down_ex = [0] * n
+        sum_ex = [0] * n
+        sum_best = [0] * n
+        for v in order[:0:-1]:
+            di = 1 + sum_ex[v]
+            de = sum_best[v]
+            down_in[v] = di
+            down_ex[v] = de
+            p = parent[v]
+            sum_ex[p] += de
+            sum_best[p] += di if di > de else de
+        down_in[0] = 1 + sum_ex[0]
+        down_ex[0] = sum_best[0]
+        self.order = order
+        self.parent = parent
+        self.down_in = down_in
+        self.down_ex = down_ex
+        self.sum_ex = sum_ex
+        self.sum_best = sum_best
+
+    def alpha(self) -> int:
+        di = self.down_in[0]
+        de = self.down_ex[0]
+        return di if di > de else de
+
+    def core(self) -> frozenset[int]:
+        """v is in the core iff alpha(T - v) == alpha(T) - 1. The upward pass
+        computes, for each non-root v, the optimum of the component above v
+        with v's parent forced in (up_in) or out (up_ex); alpha(T - v) is then
+        the child-subtree optima plus the above-v optimum."""
+        order, parent = self.order, self.parent
+        down_in, down_ex = self.down_in, self.down_ex
+        sum_ex, sum_best = self.sum_ex, self.sum_best
+        n = len(order)
+        target = self.alpha() - 1
+        up_in = [0] * n
+        up_ex = [0] * n
+        members = []
+        if sum_best[0] == target:
+            members.append(0)
+        for v in order[1:]:
+            p = parent[v]
+            di = down_in[v]
+            de = down_ex[v]
+            best = di if di > de else de
+            if p == 0:
+                ue = sum_best[p] - best
+                ui = 1 + sum_ex[p] - de
+            else:
+                up = up_in[p]
+                ep = up_ex[p]
+                ue = sum_best[p] - best + (up if up > ep else ep)
+                ui = 1 + sum_ex[p] - de + ep
+            up_in[v] = ui
+            up_ex[v] = ue
+            rest = ui if ui > ue else ue
+            if sum_best[v] + rest == target:
+                members.append(v)
+        return frozenset(members)
+
+    def count(self) -> int:
+        """Number of maximum stable sets: the DP multiplicities of each
+        subtree optimum, with v forced in (in_cnt) or out (ex_cnt)."""
+        order, parent = self.order, self.parent
+        down_in, down_ex = self.down_in, self.down_ex
+        n = len(order)
+        in_cnt = [1] * n
+        ex_cnt = [1] * n
+        for v in order[:0:-1]:
+            p = parent[v]
+            in_cnt[p] *= ex_cnt[v]
+            if down_in[v] > down_ex[v]:
+                ex_cnt[p] *= in_cnt[v]
+            elif down_in[v] < down_ex[v]:
+                ex_cnt[p] *= ex_cnt[v]
+            else:
+                ex_cnt[p] *= in_cnt[v] + ex_cnt[v]
+        if down_in[0] > down_ex[0]:
+            return in_cnt[0]
+        if down_in[0] < down_ex[0]:
+            return ex_cnt[0]
+        return in_cnt[0] + ex_cnt[0]
+
+    def one_set(self) -> frozenset[int]:
+        """Deterministic maximum stable set: top-down, take v when its parent
+        is out and forcing v in is optimal."""
+        order, parent = self.order, self.parent
+        down_in, down_ex = self.down_in, self.down_ex
+        chosen = bytearray(len(order))
+        chosen[0] = 1 if down_in[0] >= down_ex[0] else 0
+        for v in order[1:]:
+            if not chosen[parent[v]]:
+                chosen[v] = 1 if down_in[v] >= down_ex[v] else 0
+        return frozenset(v for v in range(len(chosen)) if chosen[v])
 
 
 def alpha(t: Tree) -> int:
     """Stability number: size of a maximum stable set."""
-    _, _, down_in, down_ex, _, _ = _rooted_arrays(t)
-    return down_in[0] if down_in[0] > down_ex[0] else down_ex[0]
+    return _Rooted(t).alpha()
 
 
 def mu(t: Tree) -> int:
-    """Matching number, by greedy leaf matching (match a leaf to its
-    neighbor, delete both, repeat). Optimal on forests."""
-    n = t.n
-    adjacency = t.adjacency
-    degree = [len(a) for a in adjacency]
-    alive = bytearray(b"\x01") * n
-    leaves = [v for v in range(n) if degree[v] == 1]
-    matched = 0
-    qi = 0
-    while qi < len(leaves):
-        u = leaves[qi]
-        qi += 1
-        if not alive[u] or degree[u] != 1:
-            continue
-        partner = -1
-        for w in adjacency[u]:
-            if alive[w]:
-                partner = w
-                break
-        alive[u] = 0
-        alive[partner] = 0
-        matched += 1
-        for x in adjacency[partner]:
-            if alive[x]:
-                degree[x] -= 1
-                if degree[x] == 1:
-                    leaves.append(x)
-    return matched
+    """Matching number. Trees are bipartite, so by the Konig-Egervary
+    theorem it equals the vertex cover number n - alpha."""
+    return t.n - alpha(t)
 
 
 def has_perfect_matching(t: Tree) -> bool:
@@ -111,41 +159,8 @@ def has_perfect_matching(t: Tree) -> bool:
 
 
 def core(t: Tree) -> frozenset[int]:
-    """Intersection of all maximum stable sets, in O(n).
-
-    v is in the core iff alpha(T - v) == alpha(T) - 1. The upward pass
-    computes, for each non-root v, the optimum of the component above v
-    with v's parent forced in (up_in) or out (up_ex); alpha(T - v) is then
-    the child-subtree optima plus the above-v optimum.
-    """
-    n = t.n
-    order, parent, down_in, down_ex, sum_ex, sum_best = _rooted_arrays(t)
-    total = down_in[0] if down_in[0] > down_ex[0] else down_ex[0]
-    target = total - 1
-    up_in = [0] * n
-    up_ex = [0] * n
-    members = []
-    if sum_best[0] == target:
-        members.append(0)
-    for v in order[1:]:
-        p = parent[v]
-        di = down_in[v]
-        de = down_ex[v]
-        best = di if di > de else de
-        if p == 0:
-            ue = sum_best[p] - best
-            ui = 1 + sum_ex[p] - de
-        else:
-            up = up_in[p]
-            ep = up_ex[p]
-            ue = sum_best[p] - best + (up if up > ep else ep)
-            ui = 1 + sum_ex[p] - de + ep
-        up_in[v] = ui
-        up_ex[v] = ue
-        rest = ui if ui > ue else ue
-        if sum_best[v] + rest == target:
-            members.append(v)
-    return frozenset(members)
+    """Intersection of all maximum stable sets, in O(n) by rerooting."""
+    return _Rooted(t).core()
 
 
 def _alpha_without(t: Tree, skip: int) -> int:
@@ -199,16 +214,7 @@ def alpha_forest(f: Forest) -> int:
 
 def one_maximum_stable_set(t: Tree) -> frozenset[int]:
     """Deterministic representative of the maximum stable sets."""
-    n = t.n
-    order, parent, down_in, down_ex, _, _ = _rooted_arrays(t)
-    chosen = bytearray(n)
-    chosen[0] = 1 if down_in[0] >= down_ex[0] else 0
-    for v in order[1:]:
-        if chosen[parent[v]]:
-            chosen[v] = 0
-        else:
-            chosen[v] = 1 if down_in[v] >= down_ex[v] else 0
-    return frozenset(v for v in range(n) if chosen[v])
+    return _Rooted(t).one_set()
 
 
 # ---------------------------------------------------------------------------
@@ -275,50 +281,38 @@ def stable_masks(g: SmallGraph) -> list[int]:
     return out
 
 
+def _stable_masks_direct(g: SmallGraph) -> Iterator[int]:
+    """All stable subsets of g, each tested on its own: no 2^n table, so it
+    serves sizes above ``stable_masks``' cap (slow, but within contract)."""
+    masks = g.adjacency_masks
+    for m in range(1 << g.n):
+        probe = m
+        while probe:
+            low = probe & -probe
+            if masks[low.bit_length() - 1] & m:
+                break
+            probe ^= low
+        else:
+            yield m
+
+
 def brute_force_stability(g: SmallGraph) -> BruteForceResult:
     """Exhaustive subset scan: stability number, number of maximum stable
     sets, their intersection, and the numerically first witness."""
     n = g.n
     if n > BRUTE_FORCE_CEILING:
         raise TooLarge(f"n={n} exceeds the brute-force ceiling {BRUTE_FORCE_CEILING}")
-    best = 0
-    count = 1
-    inter = 0
-    witness = 0
-    if n <= 24:
-        for m in stable_masks(g):
-            c = m.bit_count()
-            if c > best:
-                best = c
-                count = 1
-                inter = m
-                witness = m
-            elif c == best:
-                count += 1
-                inter &= m
-    else:
-        # no table at this size: test each subset directly (slow, but within contract)
-        masks = g.adjacency_masks
-        for m in range(1, 1 << n):
-            probe = m
-            ok = True
-            while probe:
-                low = probe & -probe
-                if masks[low.bit_length() - 1] & m:
-                    ok = False
-                    break
-                probe ^= low
-            if not ok:
-                continue
-            c = m.bit_count()
-            if c > best:
-                best = c
-                count = 1
-                inter = m
-                witness = m
-            elif c == best:
-                count += 1
-                inter &= m
+    best = -1  # both scans yield the empty set first, which sets every total
+    for m in stable_masks(g) if n <= 24 else _stable_masks_direct(g):
+        c = m.bit_count()
+        if c > best:
+            best = c
+            count = 1
+            inter = m
+            witness = m
+        elif c == best:
+            count += 1
+            inter &= m
     return BruteForceResult(
         alpha=best,
         count=count,
@@ -340,85 +334,60 @@ def _mask_to_set(m: int) -> frozenset[int]:
 # Counting and enumerating stable sets
 
 
-def _count_dp(t: Tree):
-    """Per-state (size, multiplicity) DP. Returns (alpha, count, arrays)."""
-    n = t.n
-    order, parent, *_ = _rooted_arrays(t)
-    in_size = [1] * n
-    in_cnt = [1] * n
-    ex_size = [0] * n
-    ex_cnt = [1] * n
-    for v in order[:0:-1]:
-        p = parent[v]
-        in_size[p] += ex_size[v]
-        in_cnt[p] *= ex_cnt[v]
-        if in_size[v] > ex_size[v]:
-            ex_size[p] += in_size[v]
-            ex_cnt[p] *= in_cnt[v]
-        elif in_size[v] < ex_size[v]:
-            ex_size[p] += ex_size[v]
-            ex_cnt[p] *= ex_cnt[v]
-        else:
-            ex_size[p] += in_size[v]
-            ex_cnt[p] *= in_cnt[v] + ex_cnt[v]
-    if in_size[0] > ex_size[0]:
-        best, count = in_size[0], in_cnt[0]
-    elif in_size[0] < ex_size[0]:
-        best, count = ex_size[0], ex_cnt[0]
-    else:
-        best, count = in_size[0], in_cnt[0] + ex_cnt[0]
-    return best, count, order, parent, in_size, ex_size
-
-
 def count_maximum_stable_sets(t: Tree) -> int:
     """|Omega(T)|. Python integers make the multiplicities overflow-safe."""
-    return _count_dp(t)[1]
+    return _Rooted(t).count()
 
 
 def enumerate_maximum_stable_sets(t: Tree, limit: int) -> list[frozenset[int]]:
     """All maximum stable sets, sorted by their sorted member tuples.
 
     Counts first and raises LimitExceeded (carrying the count) before
-    materializing anything when more than ``limit`` sets exist.
+    materializing anything when more than ``limit`` sets exist. A top-down
+    pass marks the (vertex, in/out) states that some maximum stable set
+    uses; a bottom-up pass then builds each marked state's sets of the
+    vertex's subtree. Unmarked states are never built: a vertex that every
+    maximum stable set contains can have an out-state with 2^k sets.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    best, count, order, parent, in_size, ex_size = _count_dp(t)
+    view = _Rooted(t)
+    count = view.count()
     if count > limit:
         raise LimitExceeded(f"{count} maximum stable sets exceed limit {limit}", count=count)
-    children: list[list[int]] = [[] for _ in range(t.n)]
+    order, parent, down_in, down_ex = view.order, view.parent, view.down_in, view.down_ex
+    n = t.n
+    # bit 1: v in, bit 2: v out; optimal[v] holds the states that are optimal
+    # for v's subtree, used[v] those that some maximum stable set takes
+    optimal = bytearray((down_in[v] >= down_ex[v]) | (down_ex[v] >= down_in[v]) << 1
+                        for v in range(n))
+    used = bytearray(n)
+    used[0] = optimal[0]
+    children: list[list[int]] = [[] for _ in range(n)]
     for v in order[1:]:
-        children[parent[v]].append(v)
+        p = parent[v]
+        children[p].append(v)
+        if used[p] & 1:
+            used[v] |= 2
+        if used[p] & 2:
+            used[v] |= optimal[v]
+    sets_in: list[list[frozenset[int]] | None] = [None] * n
+    sets_ex: list[list[frozenset[int]] | None] = [None] * n
 
-    memo: dict[tuple[int, bool], list[frozenset[int]]] = {}
+    def optimal_sets(v: int) -> list[frozenset[int]]:
+        return (sets_in[v] if optimal[v] & 1 else []) + (sets_ex[v] if optimal[v] & 2 else [])
 
-    def expand(v: int, included: bool) -> list[frozenset[int]]:
-        key = (v, included)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if included:
-            parts = [expand(c, False) for c in children[v]]
-            base: list[frozenset[int]] = [frozenset((v,))]
-        else:
-            parts = []
-            for c in children[v]:
-                if in_size[c] > ex_size[c]:
-                    parts.append(expand(c, True))
-                elif in_size[c] < ex_size[c]:
-                    parts.append(expand(c, False))
-                else:
-                    parts.append(expand(c, True) + expand(c, False))
-            base = [frozenset()]
-        out = [s.union(*combo) if combo else s for s in base for combo in product(*parts)]
-        memo[key] = out
-        return out
-
-    results: list[frozenset[int]] = []
-    if in_size[0] >= ex_size[0]:
-        results.extend(expand(0, True))
-    if ex_size[0] >= in_size[0]:
-        results.extend(expand(0, False))
+    for v in reversed(order):
+        kids = children[v]
+        if used[v] & 1:
+            head = frozenset((v,))
+            sets_in[v] = [head.union(*combo) for combo in product(*(sets_ex[c] for c in kids))]
+        if used[v] & 2:
+            parts = [optimal_sets(c) for c in kids]
+            sets_ex[v] = [frozenset().union(*combo) for combo in product(*parts)]
+        for c in kids:
+            sets_in[c] = sets_ex[c] = None
+    results = optimal_sets(0)
     results.sort(key=lambda s: tuple(sorted(s)))
     return results
 
@@ -508,9 +477,10 @@ def is_strong_unique_independent(t: Tree) -> bool:
 def is_strong_unique_by_definition(t: Tree) -> bool:
     """Definitional cross-check: exactly one maximum stable set, whose
     complement is also stable."""
-    if count_maximum_stable_sets(t) != 1:
+    view = _Rooted(t)
+    if view.count() != 1:
         return False
-    (s,) = enumerate_maximum_stable_sets(t, limit=1)
+    s = view.one_set()
     return all(u in s or v in s for u, v in t.edges)
 
 
@@ -533,18 +503,22 @@ class AnalysisReport:
 
 
 def analyze(t: Tree) -> AnalysisReport:
-    """One-stop bundle of the stability structure of a tree."""
-    core_set = core(t)
-    matching = mu(t)
+    """One-stop bundle of the stability structure of a tree, from one rooted
+    traversal and one bipartition."""
+    view = _Rooted(t)
+    a = view.alpha()
+    core_set = view.core()
+    pend = pendant_vertices(t)
+    sides = bipartition(t)
     return AnalysisReport(
         n=t.n,
-        alpha=alpha(t),
-        mu=matching,
+        alpha=a,
+        mu=t.n - a,
         xi=len(core_set),
         core=core_set,
-        pendants=pendant_vertices(t),
-        bipartition=bipartition(t),
-        has_perfect_matching=2 * matching == t.n,
-        num_maximum_stable_sets=count_maximum_stable_sets(t),
-        strong_unique=is_strong_unique_independent(t),
+        pendants=pend,
+        bipartition=sides,
+        has_perfect_matching=2 * a == t.n,
+        num_maximum_stable_sets=view.count(),
+        strong_unique=pend <= sides.a or pend <= sides.b,
     )

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 
 import pytest
 
@@ -81,6 +83,27 @@ def test_write_report_analyze_values():
 
 def test_write_report_empty_list():
     assert write_report([]) == "[]\n"
+
+
+def test_write_report_count_past_int_str_limit():
+    # a hub with two leaves and 15,000 two-edge legs: 2^15000 maximum stable
+    # sets, a count of 4516 digits, past the default 4300-digit limit
+    legs = 15_000
+    edges = [(0, 1), (0, 2)]
+    for i in range(legs):
+        a, b = 3 + 2 * i, 4 + 2 * i
+        edges += [(0, a), (a, b)]
+    t = tree_from_edges(2 * legs + 3, edges)
+    before = sys.get_int_max_str_digits()
+    text = write_report(analyze(t))
+    assert sys.get_int_max_str_digits() == before
+    digits = re.search(r'"num_maximum_stable_sets": (\d+)', text).group(1)
+    assert len(digits) == 4516
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(digits) == 2**legs
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_dot_p2_single_edge():

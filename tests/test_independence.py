@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablecore import (
+    AnalysisReport,
     LimitExceeded,
     NotPendant,
     NotStable,
@@ -11,7 +12,9 @@ from stablecore import (
     alpha,
     alpha_forest,
     analyze,
+    bipartition,
     brute_force_stability,
+    check_tree,
     core,
     core_naive,
     count_maximum_stable_sets,
@@ -30,6 +33,7 @@ from stablecore import (
     random_tree,
     small_graph_from_edges,
     small_graph_from_tree,
+    spider,
     tree_from_edges,
 )
 from stablecore.harness import fig1_graph, fig5_tree
@@ -197,6 +201,18 @@ def test_all_paths_against_brute_force():
         assert mu(t) == n - r.alpha
 
 
+def maximum_matching_by_scan(t):
+    """Largest set of pairwise disjoint edges, over all edge subsets."""
+    edges = t.edges
+    best = 0
+    for m in range(1 << len(edges)):
+        chosen = [edges[i] for i in range(len(edges)) if m >> i & 1]
+        ends = [x for e in chosen for x in e]
+        if len(set(ends)) == len(ends):
+            best = max(best, len(chosen))
+    return best
+
+
 def test_exhaustive_agreement_small():
     for n in range(2, 7):
         for t in enumerate_labeled_trees(n):
@@ -204,12 +220,40 @@ def test_exhaustive_agreement_small():
             assert alpha(t) == r.alpha
             assert core(t) == r.core
             assert core_naive(t) == r.core
-            assert mu(t) == n - r.alpha
-            assert has_perfect_matching(t) == (2 * r.alpha == n)
+            matching = maximum_matching_by_scan(t)
+            assert mu(t) == matching == n - r.alpha
+            assert has_perfect_matching(t) == (2 * matching == n)
             assert count_maximum_stable_sets(t) == r.count
             sets = enumerate_maximum_stable_sets(t, limit=r.count)
             assert len(sets) == r.count
             assert frozenset.intersection(*sets) == r.core
+            assert analyze(t) == AnalysisReport(
+                n=n,
+                alpha=r.alpha,
+                mu=matching,
+                xi=len(r.core),
+                core=r.core,
+                pendants=pendant_vertices(t),
+                bipartition=bipartition(t),
+                has_perfect_matching=2 * matching == n,
+                num_maximum_stable_sets=r.count,
+                strong_unique=is_strong_unique_independent(t),
+            )
+
+
+def test_deep_path_without_recursion():
+    # 3001 levels below the root, far past the interpreter's recursion limit
+    p = path(3001)
+    assert enumerate_maximum_stable_sets(p, 1) == [frozenset(range(0, 3001, 2))]
+    assert is_strong_unique_by_definition(p)
+    assert check_tree("C5", p).status == "holds"
+
+
+def test_enumeration_skips_unused_states():
+    # the hub is in the one maximum stable set; with the hub out, the 40 legs
+    # alone would give 2^40 sets of the subtree
+    t = spider(40)
+    assert enumerate_maximum_stable_sets(t, 1) == [frozenset({0, *range(41, 81)})]
 
 
 def test_core_membership_deletion_criterion():
