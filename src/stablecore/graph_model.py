@@ -325,11 +325,14 @@ def canonical_form(t: Tree) -> str:
     return min(_rooted_encoding(t, c) for c in _centers(t))
 
 
-def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first vertex order and parent array for the tree rooted at ``root``."""
+def _bfs_order(t: Tree, root: int, skip: tuple[int, ...] = ()) -> tuple[list[int], list[int]]:
+    """Breadth-first vertex order and parent array for the tree rooted at
+    ``root``, entering no neighbor of the root listed in ``skip``."""
     adjacency = t.adjacency
     parent = [-1] * t.n
     parent[root] = root
+    for w in skip:
+        parent[w] = root
     order = [root]
     i = 0
     while i < len(order):
@@ -340,6 +343,8 @@ def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
                 parent[w] = v
                 order.append(w)
     parent[root] = -1
+    for w in skip:
+        parent[w] = -1
     return order, parent
 
 

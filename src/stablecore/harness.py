@@ -22,7 +22,9 @@ Registry:
   C8  every stable set of pendant vertices extends to a maximum stable set
   C9  bonding laws at every internal vertex split T = T1 * v * T2: v is in
       core(T) iff it is in both factor cores; and then the stability numbers
-      add up (minus one) and core(T) is the union of the factor cores
+      add up (minus one) and core(T) is the union of the factor cores; the
+      rerooting DP decides each split in O(1), building factor cores only
+      where v is in core(T)
   C10 no perfect matching => at least two pendants in the core
   C11 no perfect matching and a core vertex of degree >= 2k (k >= 2)
       => at least 2k pendants in the core
@@ -49,8 +51,6 @@ from .graph_model import (
     SplitMix64,
     Tree,
     _prufer_draw,
-    bfs_depths,
-    bipartition,
     canonical_form,
     delete_vertices,
     derive_seed,
@@ -64,12 +64,10 @@ from .independence import (
     SmallGraph,
     _mask_to_set,
     _Rooted,
-    alpha,
+    _strong_unique_of,
     alpha_forest,
-    core,
     enumerate_maximal_stable_sets,
     extend_pendant_set,
-    is_strong_unique_by_definition,
     one_maximum_stable_set,
     small_graph_from_edges,
     small_graph_from_tree,
@@ -188,11 +186,7 @@ class _TreeFacts:
 
     @cached_property
     def bip(self) -> Bipartition:
-        return bipartition(self.tree)
-
-    @cached_property
-    def depth0(self) -> list[int]:
-        return bfs_depths(self.tree, 0)
+        return self.rooted.bipartition()
 
     @cached_property
     def graph(self) -> SmallGraph:
@@ -302,10 +296,8 @@ def _check_c5(facts: _TreeFacts, scan_ceiling: int):
     pend = facts.pend
     sides = facts.bip
     one_side = pend <= sides.a or pend <= sides.b
-    depth = facts.depth0
-    parities = {depth[v] % 2 for v in pend}
-    even_dists = len(parities) == 1
-    definitional = is_strong_unique_by_definition(t)
+    even_dists = len({v in sides.a for v in pend}) == 1
+    definitional = _strong_unique_of(t, facts.rooted)
     if definitional == one_side == even_dists:
         return HOLDS, None
     return REFUTED, {
@@ -352,93 +344,83 @@ def _check_c7(facts: _TreeFacts, scan_ceiling: int):
 
 
 def _check_c8(facts: _TreeFacts, scan_ceiling: int):
+    # For n >= 3 the pendant set P is stable and holds every stable set of
+    # pendants, so the claim holds iff P extends; on one edge, try each alone.
     t = facts.tree
     _require_scan_scale("C8", t.n, scan_ceiling)
     pend = sorted(facts.pend)
-    adj = facts.graph.adjacency_masks
-    a_target = facts.alpha
-    for bits in range(1, 1 << len(pend)):
-        subset = [pend[i] for i in range(len(pend)) if bits >> i & 1]
-        m = _set_mask(subset)
-        if any(adj[v] & m for v in subset):
-            continue  # not stable (only possible when both ends of an edge are pendant)
+    for subset in [pend] if t.n > 2 else [[p] for p in pend]:
         s = extend_pendant_set(t, subset)
-        sm = _set_mask(s)
         ok = (
-            m & sm == m
-            and len(s) == a_target
-            and not any(adj[v] & sm for v in s)
+            s.issuperset(subset)
+            and len(s) == facts.alpha
+            and not any(u in s and w in s for u, w in t.edges)
         )
         if not ok:
             return REFUTED, {"pendant_subset": subset, "returned_set": sorted(s)}
     return HOLDS, None
 
 
-def _split_at(t: Tree, v: int, u: int):
-    """Split T at internal vertex v into (side of neighbor u) + v and the rest.
+def _bonding_splits(t: Tree, view: _Rooted):
+    """(v, u, alpha(T1), v in core(T1), alpha(T2), v in core(T2)) for every
+    split T = T1 * v * T2 at an internal v, T1 being v plus the branch behind
+    neighbor u, in v-then-u order. A branch's (in, out) optima are
+    down_in[u]/down_ex[u] for a child u, up_in[v]/up_ex[v] for the parent;
+    v is in a factor's core iff forcing it in beats leaving it out."""
+    parent, down_in, down_ex = view.parent, view.down_in, view.down_ex
+    sum_ex, sum_best = view.sum_ex, view.sum_best
+    up_in, up_ex = view.up()
+    for v in range(t.n):
+        neighbors = t.adjacency[v]
+        if len(neighbors) < 2:
+            continue
+        pi, pe = up_in[v], up_ex[v]
+        all_ex = sum_ex[v] + pe
+        all_best = sum_best[v] + (pi if pi > pe else pe)
+        for u in neighbors:
+            if u == parent[v]:
+                bi, be = pi, pe
+            else:
+                bi, be = down_in[u], down_ex[u]
+            rest_in = 1 + all_ex - be
+            rest_ex = all_best - (bi if bi > be else be)
+            yield (v, u, 1 + be if 1 + be > bi else bi, be >= bi,
+                   rest_in if rest_in > rest_ex else rest_ex, rest_in > rest_ex)
 
-    Returns (tree1, v1, map1, tree2, v2, map2) with mapX tuples sending
-    factor labels back to T's labels.
-    """
-    adjacency = t.adjacency
-    side = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for w in adjacency[x]:
-            if w != v and w not in side:
-                side.add(w)
-                stack.append(w)
 
-    def build(members: list[int]):
-        index = {x: i for i, x in enumerate(members)}
-        edges = [
-            (index[x], index[w])
-            for x in members
-            for w in adjacency[x]
-            if w in index and x < w
-        ]
-        return tree_from_edges(len(members), edges), index
-
-    members1 = sorted(side | {v})
-    members2 = sorted(set(range(t.n)) - side)
-    t1, index1 = build(members1)
-    t2, index2 = build(members2)
-    return t1, index1[v], tuple(members1), t2, index2[v], tuple(members2)
+def _factor_cores(t: Tree, v: int, u: int) -> tuple[frozenset[int], frozenset[int]]:
+    """core(T1) and core(T2) of the split at v by neighbor u, over T's labels."""
+    others = tuple(w for w in t.adjacency[v] if w != u)
+    return _Rooted(t, v, others).core(), _Rooted(t, v, (u,)).core()
 
 
 def _check_c9(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    internal = [v for v in range(t.n) if t.degree(v) >= 2]
-    if not internal:
+    if t.n < 3:  # the single edge has no internal vertex
         return NOT_APPLICABLE, None
     core_t = facts.core
     alpha_t = facts.alpha
-    for v in internal:
-        for u in t.adjacency[v]:
-            t1, v1, map1, t2, v2, map2 = _split_at(t, v, u)
-            core1 = core(t1)
-            core2 = core(t2)
-            bonded_in_core = v in core_t
-            factors_in_core = v1 in core1 and v2 in core2
-            if bonded_in_core != factors_in_core:
-                return REFUTED, {
-                    "vertex": v, "neighbor": u, "law": "core membership biconditional",
-                    "in_bonded_core": bonded_in_core, "in_factor_cores": factors_in_core,
-                }
-            if not bonded_in_core:
-                continue
-            if alpha_t != alpha(t1) + alpha(t2) - 1:
-                return REFUTED, {
-                    "vertex": v, "neighbor": u, "law": "stability numbers add up",
-                    "alpha": alpha_t, "alpha_factors": [alpha(t1), alpha(t2)],
-                }
-            mapped = {map1[x] for x in core1} | {map2[x] for x in core2}
-            if mapped != core_t:
-                return REFUTED, {
-                    "vertex": v, "neighbor": u, "law": "core is union of factor cores",
-                    "core": sorted(core_t), "factor_union": sorted(mapped),
-                }
+    for v, u, alpha1, in_core1, alpha2, in_core2 in _bonding_splits(t, facts.rooted):
+        bonded_in_core = v in core_t
+        factors_in_core = in_core1 and in_core2
+        if bonded_in_core != factors_in_core:
+            return REFUTED, {
+                "vertex": v, "neighbor": u, "law": "core membership biconditional",
+                "in_bonded_core": bonded_in_core, "in_factor_cores": factors_in_core,
+            }
+        if not bonded_in_core:
+            continue
+        if alpha_t != alpha1 + alpha2 - 1:
+            return REFUTED, {
+                "vertex": v, "neighbor": u, "law": "stability numbers add up",
+                "alpha": alpha_t, "alpha_factors": [alpha1, alpha2],
+            }
+        factor_union = frozenset.union(*_factor_cores(t, v, u))
+        if factor_union != core_t:
+            return REFUTED, {
+                "vertex": v, "neighbor": u, "law": "core is union of factor cores",
+                "core": sorted(core_t), "factor_union": sorted(factor_union),
+            }
     return HOLDS, None
 
 
@@ -474,9 +456,9 @@ def _check_c12(facts: _TreeFacts, scan_ceiling: int):
     if 2 * facts.alpha <= t.n:
         return NOT_APPLICABLE, None
     cp = sorted(facts.core & facts.pend)
-    depth = facts.depth0
-    even = [v for v in cp if depth[v] % 2 == 0]
-    odd = [v for v in cp if depth[v] % 2 == 1]
+    sides = facts.bip
+    even = [v for v in cp if v in sides.a]
+    odd = [v for v in cp if v in sides.b]
     if max(len(even), len(odd)) < 2:
         return REFUTED, {"subclaim": "a", "core_pendants": cp}
     if len(cp) == 2:

@@ -33,19 +33,21 @@ BRUTE_FORCE_CEILING = 30
 
 
 class _Rooted:
-    """A tree rooted at vertex 0 with its downward include/exclude DP, built
-    once and read by every stability quantity of the tree.
+    """A tree rooted at vertex ``root`` with its downward include/exclude DP,
+    built once and read by every stability quantity of the tree.
 
-    ``order``/``parent`` come from the breadth-first traversal from vertex 0;
+    ``order``/``parent`` come from the breadth-first traversal from the root;
     down_in[v]/down_ex[v] are the optima of v's subtree with v forced in/out,
-    and sum_ex/sum_best are the child sums they were assembled from.
+    and sum_ex/sum_best are the child sums they were assembled from. With
+    root neighbors in ``skip``, the view covers only the root's other
+    branches, over the tree's own labels.
     """
 
     __slots__ = ("order", "parent", "down_in", "down_ex", "sum_ex", "sum_best")
 
-    def __init__(self, t: Tree):
+    def __init__(self, t: Tree, root: int = 0, skip: tuple[int, ...] = ()):
         n = t.n
-        order, parent = _bfs_order(t, 0)
+        order, parent = _bfs_order(t, root, skip)
         down_in = [1] * n
         down_ex = [0] * n
         sum_ex = [0] * n
@@ -58,8 +60,8 @@ class _Rooted:
             p = parent[v]
             sum_ex[p] += de
             sum_best[p] += di if di > de else de
-        down_in[0] = 1 + sum_ex[0]
-        down_ex[0] = sum_best[0]
+        down_in[root] = 1 + sum_ex[root]
+        down_ex[root] = sum_best[root]
         self.order = order
         self.parent = parent
         self.down_in = down_in
@@ -68,51 +70,47 @@ class _Rooted:
         self.sum_best = sum_best
 
     def alpha(self) -> int:
-        di = self.down_in[0]
-        de = self.down_ex[0]
+        root = self.order[0]
+        di = self.down_in[root]
+        de = self.down_ex[root]
         return di if di > de else de
 
-    def core(self) -> frozenset[int]:
-        """v is in the core iff alpha(T - v) == alpha(T) - 1. The upward pass
-        computes, for each non-root v, the optimum of the component above v
-        with v's parent forced in (up_in) or out (up_ex); alpha(T - v) is then
-        the child-subtree optima plus the above-v optimum."""
-        order, parent = self.order, self.parent
+    def up(self) -> tuple[list[int], list[int]]:
+        """Upward pass: for each non-root v, the optimum of the branch behind
+        v's parent, away from v, with the parent forced in (up_in[v]) or out
+        (up_ex[v]); 0 at the root. Fresh lists each call; nothing is kept."""
+        parent = self.parent
         down_in, down_ex = self.down_in, self.down_ex
         sum_ex, sum_best = self.sum_ex, self.sum_best
-        n = len(order)
-        target = self.alpha() - 1
-        up_in = [0] * n
-        up_ex = [0] * n
-        members = []
-        if sum_best[0] == target:
-            members.append(0)
-        for v in order[1:]:
+        up_in = [0] * len(parent)
+        up_ex = [0] * len(parent)
+        for v in self.order[1:]:
             p = parent[v]
             di = down_in[v]
             de = down_ex[v]
-            best = di if di > de else de
-            if p == 0:
-                ue = sum_best[p] - best
-                ui = 1 + sum_ex[p] - de
-            else:
-                up = up_in[p]
-                ep = up_ex[p]
-                ue = sum_best[p] - best + (up if up > ep else ep)
-                ui = 1 + sum_ex[p] - de + ep
-            up_in[v] = ui
-            up_ex[v] = ue
-            rest = ui if ui > ue else ue
-            if sum_best[v] + rest == target:
-                members.append(v)
-        return frozenset(members)
+            ui = up_in[p]
+            ue = up_ex[p]
+            up_ex[v] = sum_best[p] - (di if di > de else de) + (ui if ui > ue else ue)
+            up_in[v] = 1 + sum_ex[p] - de + ue
+        return up_in, up_ex
+
+    def core(self) -> frozenset[int]:
+        """v is in the core iff alpha(T - v) == alpha(T) - 1, and alpha(T - v)
+        is the child-subtree optima plus the optimum above v."""
+        sum_best = self.sum_best
+        target = self.alpha() - 1
+        up_in, up_ex = self.up()
+        return frozenset(
+            v for v in self.order
+            if sum_best[v] + (up_in[v] if up_in[v] > up_ex[v] else up_ex[v]) == target
+        )
 
     def count(self) -> int:
         """Number of maximum stable sets: the DP multiplicities of each
         subtree optimum, with v forced in (in_cnt) or out (ex_cnt)."""
         order, parent = self.order, self.parent
         down_in, down_ex = self.down_in, self.down_ex
-        n = len(order)
+        n = len(parent)
         in_cnt = [1] * n
         ex_cnt = [1] * n
         for v in order[:0:-1]:
@@ -124,23 +122,36 @@ class _Rooted:
                 ex_cnt[p] *= ex_cnt[v]
             else:
                 ex_cnt[p] *= in_cnt[v] + ex_cnt[v]
-        if down_in[0] > down_ex[0]:
-            return in_cnt[0]
-        if down_in[0] < down_ex[0]:
-            return ex_cnt[0]
-        return in_cnt[0] + ex_cnt[0]
+        root = order[0]
+        if down_in[root] > down_ex[root]:
+            return in_cnt[root]
+        if down_in[root] < down_ex[root]:
+            return ex_cnt[root]
+        return in_cnt[root] + ex_cnt[root]
 
     def one_set(self) -> frozenset[int]:
         """Deterministic maximum stable set: top-down, take v when its parent
         is out and forcing v in is optimal."""
         order, parent = self.order, self.parent
         down_in, down_ex = self.down_in, self.down_ex
-        chosen = bytearray(len(order))
-        chosen[0] = 1 if down_in[0] >= down_ex[0] else 0
+        chosen = bytearray(len(parent))
+        root = order[0]
+        chosen[root] = 1 if down_in[root] >= down_ex[root] else 0
         for v in order[1:]:
             if not chosen[parent[v]]:
                 chosen[v] = 1 if down_in[v] >= down_ex[v] else 0
         return frozenset(v for v in range(len(chosen)) if chosen[v])
+
+    def bipartition(self) -> Bipartition:
+        """The 2-coloring by depth parity; side ``a`` holds the root."""
+        parent = self.parent
+        odd = bytearray(len(parent))
+        for v in self.order[1:]:
+            odd[v] = 1 - odd[parent[v]]
+        return Bipartition(
+            a=frozenset(v for v in self.order if not odd[v]),
+            b=frozenset(v for v in self.order if odd[v]),
+        )
 
 
 def alpha(t: Tree) -> int:
@@ -477,7 +488,11 @@ def is_strong_unique_independent(t: Tree) -> bool:
 def is_strong_unique_by_definition(t: Tree) -> bool:
     """Definitional cross-check: exactly one maximum stable set, whose
     complement is also stable."""
-    view = _Rooted(t)
+    return _strong_unique_of(t, _Rooted(t))
+
+
+def _strong_unique_of(t: Tree, view: _Rooted) -> bool:
+    """``is_strong_unique_by_definition`` read from a view of t built already."""
     if view.count() != 1:
         return False
     s = view.one_set()
@@ -504,12 +519,12 @@ class AnalysisReport:
 
 def analyze(t: Tree) -> AnalysisReport:
     """One-stop bundle of the stability structure of a tree, from one rooted
-    traversal and one bipartition."""
+    traversal."""
     view = _Rooted(t)
     a = view.alpha()
     core_set = view.core()
     pend = pendant_vertices(t)
-    sides = bipartition(t)
+    sides = view.bipartition()
     return AnalysisReport(
         n=t.n,
         alpha=a,

@@ -43,7 +43,7 @@ from stablecore.cli import write_report
 SIZES = range(2, 9)
 TOTAL_TREES = sum(n ** (n - 2) for n in SIZES)  # 280,392
 FULL_CORPUS = CorpusSpec(mode="exhaustive", n_min=2, n_max=8)
-CRITERION_2_CLAIMS = ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C10", "C11", "C12"]
+CRITERION_2_CLAIMS = ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12"]
 
 P5_KEY = "5:0-1,1-2,2-3,3-4"
 

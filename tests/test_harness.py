@@ -13,12 +13,15 @@ from stablecore import (
     core,
     corpus_size,
     corpus_tree,
+    derive_seed,
     distance,
     enumerate_labeled_trees,
+    extend_pendant_set,
     fig1_graph,
     fig5_tree,
     iter_corpus,
     pendant_vertices,
+    random_tree,
     run_claim,
     run_suite,
     serialize_tree,
@@ -26,6 +29,18 @@ from stablecore import (
     tree_from_edges,
     tree_from_serialization,
 )
+from stablecore.harness import (
+    DEFAULT_SCAN_CEILING,
+    HOLDS,
+    NOT_APPLICABLE,
+    REFUTED,
+    _bonding_splits,
+    _check_c8,
+    _check_c9,
+    _factor_cores,
+    _TreeFacts,
+)
+from stablecore.independence import _Rooted
 
 
 def path(n):
@@ -262,6 +277,160 @@ def test_c13_reports_expected_violations():
 def test_c8_and_scan_claims_on_small_corpus():
     for claim in ("C1", "C2", "C6", "C8"):
         assert run_claim(claim, CORPUS_26).refuted == 0
+
+
+# ---------------------------------------------------------------------------
+# C8 and C9 against the per-subset and per-factor-tree references
+
+
+def _split_at(t, v, u):
+    """Split T at internal vertex v into (side of neighbor u) + v and the rest.
+
+    Returns (tree1, v1, map1, tree2, v2, map2) with mapX tuples sending
+    factor labels back to T's labels.
+    """
+    adjacency = t.adjacency
+    side = {u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for w in adjacency[x]:
+            if w != v and w not in side:
+                side.add(w)
+                stack.append(w)
+
+    def build(members):
+        index = {x: i for i, x in enumerate(members)}
+        edges = [
+            (index[x], index[w])
+            for x in members
+            for w in adjacency[x]
+            if w in index and x < w
+        ]
+        return tree_from_edges(len(members), edges), index
+
+    members1 = sorted(side | {v})
+    members2 = sorted(set(range(t.n)) - side)
+    t1, index1 = build(members1)
+    t2, index2 = build(members2)
+    return t1, index1[v], tuple(members1), t2, index2[v], tuple(members2)
+
+
+def _check_c9_reference(facts):
+    """C9 decided on two relabeled factor trees per split."""
+    t = facts.tree
+    internal = [v for v in range(t.n) if t.degree(v) >= 2]
+    if not internal:
+        return NOT_APPLICABLE, None
+    core_t = facts.core
+    alpha_t = facts.alpha
+    for v in internal:
+        for u in t.adjacency[v]:
+            t1, v1, map1, t2, v2, map2 = _split_at(t, v, u)
+            core1 = core(t1)
+            core2 = core(t2)
+            bonded_in_core = v in core_t
+            factors_in_core = v1 in core1 and v2 in core2
+            if bonded_in_core != factors_in_core:
+                return REFUTED, {
+                    "vertex": v, "neighbor": u, "law": "core membership biconditional",
+                    "in_bonded_core": bonded_in_core, "in_factor_cores": factors_in_core,
+                }
+            if not bonded_in_core:
+                continue
+            if alpha_t != alpha(t1) + alpha(t2) - 1:
+                return REFUTED, {
+                    "vertex": v, "neighbor": u, "law": "stability numbers add up",
+                    "alpha": alpha_t, "alpha_factors": [alpha(t1), alpha(t2)],
+                }
+            mapped = {map1[x] for x in core1} | {map2[x] for x in core2}
+            if mapped != core_t:
+                return REFUTED, {
+                    "vertex": v, "neighbor": u, "law": "core is union of factor cores",
+                    "core": sorted(core_t), "factor_union": sorted(mapped),
+                }
+    return HOLDS, None
+
+
+def _check_c8_reference(facts):
+    """C8 decided by extending every stable subset of the pendants."""
+    t = facts.tree
+    pend = sorted(facts.pend)
+    adj = small_graph_from_tree(t).adjacency_masks
+
+    def mask(vertices):
+        return sum(1 << x for x in vertices)
+
+    for bits in range(1, 1 << len(pend)):
+        subset = [pend[i] for i in range(len(pend)) if bits >> i & 1]
+        m = mask(subset)
+        if any(adj[v] & m for v in subset):
+            continue
+        s = extend_pendant_set(t, subset)
+        sm = mask(s)
+        ok = m & sm == m and len(s) == facts.alpha and not any(adj[v] & sm for v in s)
+        if not ok:
+            return REFUTED, {"pendant_subset": subset, "returned_set": sorted(s)}
+    return HOLDS, None
+
+
+def _split_test_trees():
+    for n in range(2, 8):
+        yield from enumerate_labeled_trees(n)
+    for i in range(200):
+        yield random_tree(20 + i % 41, derive_seed(9, i))
+
+
+def test_c9_split_values_match_factor_trees():
+    splits = 0
+    for t in _split_test_trees():
+        got = list(_bonding_splits(t, _Rooted(t)))
+        assert [(v, u) for v, u, *_ in got] == [
+            (v, u) for v in range(t.n) if t.degree(v) >= 2 for u in t.adjacency[v]
+        ]
+        for v, u, alpha1, in_core1, alpha2, in_core2 in got:
+            t1, v1, map1, t2, v2, map2 = _split_at(t, v, u)
+            core1, core2 = core(t1), core(t2)
+            assert (alpha1, in_core1, alpha2, in_core2) == (
+                alpha(t1), v1 in core1, alpha(t2), v2 in core2
+            ), (serialize_tree(t), v, u)
+            assert _factor_cores(t, v, u) == (
+                {map1[x] for x in core1}, {map2[x] for x in core2}
+            ), (serialize_tree(t), v, u)
+            splits += 1
+    assert splits > 150_000
+
+
+def test_c9_refutations_match_reference_on_tampered_facts():
+    laws = set()
+    for n in range(2, 7):
+        for t in enumerate_labeled_trees(n):
+            true_core, true_alpha = core(t), alpha(t)
+            variants = [(true_core ^ {x}, true_alpha) for x in range(n)]
+            variants += [(true_core, true_alpha + d) for d in (-1, 1)]
+            for tampered_core, tampered_alpha in variants:
+                facts = _TreeFacts(t)
+                facts.core = tampered_core
+                facts.alpha = tampered_alpha
+                got = _check_c9(facts, DEFAULT_SCAN_CEILING)
+                assert got == _check_c9_reference(facts), serialize_tree(t)
+                if got[0] == REFUTED:
+                    laws.add(got[1]["law"])
+    assert laws == {
+        "core membership biconditional",
+        "stability numbers add up",
+        "core is union of factor cores",
+    }
+
+
+def test_c8_single_extension_matches_subset_loop():
+    for n in range(2, 8):
+        for t in enumerate_labeled_trees(n):
+            facts = _TreeFacts(t)
+            assert _check_c8(facts, DEFAULT_SCAN_CEILING) == _check_c8_reference(facts)
+            facts.alpha += 1
+            assert _check_c8(facts, DEFAULT_SCAN_CEILING)[0] == REFUTED
+            assert _check_c8_reference(facts)[0] == REFUTED
 
 
 # ---------------------------------------------------------------------------
