@@ -150,24 +150,7 @@ def distance(t: Tree, u: int, v: int) -> int:
     """Number of edges on the unique u-v path."""
     if not 0 <= u < t.n or not 0 <= v < t.n:
         raise OutOfRange(f"vertex pair ({u},{v}) outside 0..{t.n - 1}")
-    if u == v:
-        return 0
-    adjacency = t.adjacency
-    depth = [-1] * t.n
-    depth[u] = 0
-    frontier = [u]
-    i = 0
-    while i < len(frontier):
-        x = frontier[i]
-        i += 1
-        d = depth[x] + 1
-        for w in adjacency[x]:
-            if depth[w] < 0:
-                if w == v:
-                    return d
-                depth[w] = d
-                frontier.append(w)
-    raise AssertionError("unreachable: trees are connected")
+    return bfs_depths(t, u)[v]
 
 
 def delete_vertices(t: Tree, w: Iterable[int]) -> Forest:

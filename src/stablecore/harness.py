@@ -2,10 +2,10 @@
 
 Each claim is a total function of a single tree with three outcomes: it
 holds, it is refuted (with a re-checkable witness), or its hypothesis does
-not apply. Claims that need a full scan over stable subsets raise
-ScaleExceeded beyond the scan ceiling; the corpus runner records those
-trees as skipped. Corpora are pure functions of their spec, so any worker
-count produces the same verdicts.
+not apply. E1, the one measurement that enumerates maximal stable sets,
+raises ScaleExceeded beyond the scan ceiling; the corpus runner records
+those trees as skipped. Corpora are pure functions of their spec, so any
+worker count produces the same verdicts.
 
 Registry:
 
@@ -17,7 +17,10 @@ Registry:
   C5  "one maximum stable set whose complement is stable", "all pendants on
       one bipartition side" and "all pendant distances even" are equivalent
   C6  every stable set larger than the smaller bipartition side contains a
-      pendant vertex, and a pendant member at distance two from a member
+      pendant vertex, and a pendant member at distance two from a member;
+      C1, C2, C3 and C6 read two sizes from one O(n) DP over T minus its
+      pendants P: alpha(T - P), and the largest "lonely" stable set, in
+      which no pendant member has another member at distance two
   C7  no perfect matching <=> core size >= 2; perfect matching <=> empty core
   C8  every stable set of pendant vertices extends to a maximum stable set
   C9  bonding laws at every internal vertex split T = T1 * v * T2: v is in
@@ -52,7 +55,6 @@ from .graph_model import (
     Tree,
     _prufer_draw,
     canonical_form,
-    delete_vertices,
     derive_seed,
     distance,
     labeled_tree_at,
@@ -62,16 +64,11 @@ from .graph_model import (
 )
 from .independence import (
     SmallGraph,
-    _mask_to_set,
     _Rooted,
     _strong_unique_of,
-    alpha_forest,
     enumerate_maximal_stable_sets,
     extend_pendant_set,
-    one_maximum_stable_set,
     small_graph_from_edges,
-    small_graph_from_tree,
-    stable_masks,
 )
 
 CLAIM_IDS = (
@@ -79,10 +76,10 @@ CLAIM_IDS = (
     "C8", "C9", "C10", "C11", "C12", "C13", "E1",
 )
 
-# Claims that scan all stable subsets (or all pendant subsets / maximal
-# sets) refuse trees above this size; the runner counts them as skipped.
+# Claims that enumerate all maximal stable sets refuse trees above this
+# size; the runner counts them as skipped.
 DEFAULT_SCAN_CEILING = 16
-SCAN_CLAIMS = frozenset({"C1", "C2", "C6", "C8", "E1"})
+SCAN_CLAIMS = frozenset({"E1"})
 
 DEFAULT_WITNESS_LIMIT = 16
 
@@ -189,36 +186,68 @@ class _TreeFacts:
         return self.rooted.bipartition()
 
     @cached_property
-    def graph(self) -> SmallGraph:
-        return small_graph_from_tree(self.tree)
+    def free(self) -> int:
+        """alpha(T - P): the size of the largest stable set with no pendant
+        member."""
+        return _pendant_dp(self, lonely=False)[0]
 
     @cached_property
-    def stable(self) -> list[int]:
-        return stable_masks(self.graph)
-
-    @cached_property
-    def dist2(self) -> list[int]:
-        # dist2[v]: bitmask of vertices at distance exactly 2 from v
-        adj = self.graph.adjacency_masks
-        out = []
-        for v in range(self.tree.n):
-            nn = 0
-            for w in self.tree.adjacency[v]:
-                nn |= adj[w]
-            out.append(nn & ~adj[v] & ~(1 << v))
-        return out
+    def lonely(self) -> int:
+        """The size of the largest lonely stable set, in which no pendant
+        member has another member at distance two (n >= 3)."""
+        return _pendant_dp(self, lonely=True)[0]
 
 
-def _set_mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+def _pendant_dp(facts: _TreeFacts, lonely: bool):
+    """Downward DP over the shared rooted order with the pendants left out,
+    for the largest lonely stable set S, or with ``lonely`` false the
+    largest one with no pendant member, alpha(T - P).
+
+    Per non-pendant v, the optimum over v's subtree and its pendants with
+    v in S (take[v]), with one of v's pendants in S and so neither v nor a
+    non-pendant neighbor of v (hang[v], only allowed for a lonely set), or
+    with neither (skip[v]). Returns the size and the tables."""
+    t = facts.tree
+    pend = facts.pend
+    parent = facts.rooted.parent
+    inner = [v for v in facts.rooted.order if v not in pend]
+    if not inner:  # the single edge: T - P is empty
+        return 0, None
+    take = [1] * t.n
+    hang = [float("-inf")] * t.n
+    skip = [0] * t.n
+    if lonely:
+        for p in pend:
+            hang[t.adjacency[p][0]] = 1
+    # every non-pendant but the first has a non-pendant parent
+    for v in inner[:0:-1]:
+        p = parent[v]
+        tv, hv, sv = take[v], hang[v], skip[v]
+        take[p] += sv
+        hang[p] += hv if hv > sv else sv
+        skip[p] += max(tv, hv, sv)
+    r = inner[0]
+    return max(take[r], hang[r], skip[r]), (inner, take, hang, skip)
 
 
-def _require_scan_scale(claim: str, n: int, scan_ceiling: int) -> None:
-    if n > scan_ceiling:
-        raise ScaleExceeded(f"{claim} needs an exhaustive scan; n={n} > ceiling {scan_ceiling}")
+def _pendant_dp_set(facts: _TreeFacts, lonely: bool) -> list[int]:
+    """The members of a set of the size ``_pendant_dp`` finds, top-down:
+    each vertex takes its best state among those its parent's state allows
+    (after take only skip, after hang no take)."""
+    _, (inner, take, hang, skip) = _pendant_dp(facts, lonely)
+    tables = (take, hang, skip)
+    allowed = ((2,), (1, 2), (0, 1, 2))
+    adjacency = facts.tree.adjacency
+    parent = facts.rooted.parent
+    state = {}
+    members = []
+    for v in inner:
+        state[v] = k = max(allowed[state.get(parent[v], 2)], key=lambda s: tables[s][v])
+        if k == 0:
+            members.append(v)
+        elif k == 1:
+            members.append(min(w for w in adjacency[v] if w in facts.pend))
+    return sorted(members)
 
 
 # ---------------------------------------------------------------------------
@@ -226,54 +255,31 @@ def _require_scan_scale(claim: str, n: int, scan_ceiling: int) -> None:
 
 
 def _check_c1(facts: _TreeFacts, scan_ceiling: int):
-    t = facts.tree
-    _require_scan_scale("C1", t.n, scan_ceiling)
-    n = t.n
-    pend_mask = _set_mask(facts.pend)
-    for m in facts.stable:
-        if 2 * m.bit_count() >= n and not (m & pend_mask):
-            return REFUTED, {"stable_set": sorted(_mask_to_set(m))}
-    return HOLDS, None
+    if 2 * facts.free < facts.tree.n:
+        return HOLDS, None
+    return REFUTED, {"stable_set": _pendant_dp_set(facts, lonely=False)}
 
 
 def _check_c2(facts: _TreeFacts, scan_ceiling: int):
+    # Pendant members of a lonely set sit on distinct supports, so a lonely
+    # set larger than the supports has a non-pendant member. Supports reach
+    # n/2 only on a corona, where a non-pendant member leaves a neighboring
+    # support and its pendant both out, so no lonely set with a non-pendant
+    # member reaches n/2 there.
     t = facts.tree
-    _require_scan_scale("C2", t.n, scan_ceiling)
-    n = t.n
-    pend_mask = _set_mask(facts.pend)
-    dist2 = facts.dist2
-    for m in facts.stable:
-        if 2 * m.bit_count() < n or not (m & ~pend_mask):
-            continue
-        probe = m & pend_mask
-        found = False
-        while probe:
-            low = probe & -probe
-            probe ^= low
-            if dist2[low.bit_length() - 1] & m:
-                found = True
-                break
-        if not found:
-            return REFUTED, {"stable_set": sorted(_mask_to_set(m))}
-    return HOLDS, None
+    if t.n < 3:  # on the single edge a pendant's neighbor is itself a pendant
+        return HOLDS, None
+    supports = {t.adjacency[p][0] for p in facts.pend}
+    if 2 * facts.lonely < t.n or facts.lonely <= len(supports):
+        return HOLDS, None
+    return REFUTED, {"stable_set": _pendant_dp_set(facts, lonely=True)}
 
 
 def _check_c3(facts: _TreeFacts, scan_ceiling: int):
-    t = facts.tree
-    pend = facts.pend
-    if len(pend) == t.n:
+    if facts.free < facts.alpha:
         return HOLDS, None
-    rest = delete_vertices(t, pend)
-    if alpha_forest(rest) < facts.alpha:
-        return HOLDS, None
-    # a maximum stable set that avoids every pendant vertex exists; build one
-    avoid = []
-    for comp in rest.components:
-        if comp.tree is None:
-            avoid.append(comp.vertices[0])
-        else:
-            avoid.extend(comp.vertices[v] for v in one_maximum_stable_set(comp.tree))
-    return REFUTED, {"stable_set": sorted(avoid)}
+    # a maximum stable set that avoids every pendant vertex exists
+    return REFUTED, {"stable_set": _pendant_dp_set(facts, lonely=False)}
 
 
 def _check_c4(facts: _TreeFacts, scan_ceiling: int):
@@ -309,27 +315,14 @@ def _check_c5(facts: _TreeFacts, scan_ceiling: int):
 
 def _check_c6(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    _require_scan_scale("C6", t.n, scan_ceiling)
+    if t.n < 3:  # on the single edge a pendant's neighbor is itself a pendant
+        return HOLDS, None
     sides = facts.bip
-    smaller = min(len(sides.a), len(sides.b))
-    pend_mask = _set_mask(facts.pend)
-    dist2 = facts.dist2
-    for m in facts.stable:
-        if m.bit_count() <= smaller:
-            continue
-        if not (m & pend_mask):
-            return REFUTED, {"stable_set": sorted(_mask_to_set(m)), "missing": "pendant member"}
-        probe = m & pend_mask
-        found = False
-        while probe:
-            low = probe & -probe
-            probe ^= low
-            if dist2[low.bit_length() - 1] & m:
-                found = True
-                break
-        if not found:
-            return REFUTED, {"stable_set": sorted(_mask_to_set(m)), "missing": "distance-2 pair"}
-    return HOLDS, None
+    if facts.lonely <= min(len(sides.a), len(sides.b)):
+        return HOLDS, None
+    members = _pendant_dp_set(facts, lonely=True)
+    missing = "distance-2 pair" if facts.pend.intersection(members) else "pendant member"
+    return REFUTED, {"stable_set": members, "missing": missing}
 
 
 def _check_c7(facts: _TreeFacts, scan_ceiling: int):
@@ -347,7 +340,6 @@ def _check_c8(facts: _TreeFacts, scan_ceiling: int):
     # For n >= 3 the pendant set P is stable and holds every stable set of
     # pendants, so the claim holds iff P extends; on one edge, try each alone.
     t = facts.tree
-    _require_scan_scale("C8", t.n, scan_ceiling)
     pend = sorted(facts.pend)
     for subset in [pend] if t.n > 2 else [[p] for p in pend]:
         s = extend_pendant_set(t, subset)
@@ -480,7 +472,8 @@ def _check_c13(facts: _TreeFacts, scan_ceiling: int):
 
 def _check_e1(facts: _TreeFacts, scan_ceiling: int):
     t = facts.tree
-    _require_scan_scale("E1", t.n, scan_ceiling)
+    if t.n > scan_ceiling:
+        raise ScaleExceeded(f"E1 needs an exhaustive scan; n={t.n} > ceiling {scan_ceiling}")
     sides = facts.bip
     perfect = 2 * facts.alpha == t.n
     ks = []
@@ -676,6 +669,10 @@ def run_suite(
     for c in claims:
         if c not in _CHECKERS:
             raise StablecoreError(f"unknown claim {c!r}; valid: {', '.join(CLAIM_IDS)}")
+    if jobs < 1:
+        raise StablecoreError(f"jobs must be >= 1, got {jobs}")
+    if witness_limit is not None and witness_limit < 0:
+        raise StablecoreError(f"witness_limit must be >= 0, got {witness_limit}")
     if not claims:
         return []
     validate_corpus(corpus, enumeration_ceiling)

@@ -282,6 +282,16 @@ def test_verify_unknown_claim_is_usage_error(tmp_path, capsys):
     assert "unknown claims" in capsys.readouterr().err
 
 
+def test_verify_jobs_zero_is_usage_error(tmp_path, capsys):
+    rc = main([
+        "verify", "--claims", "C7", "--mode", "exhaustive", "--n-min", "2",
+        "--n-max", "4", "--jobs", "0", "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 1
+    assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_verify_stdout_summary_is_deterministic(tmp_path, capsys):
     args = [
         "verify", "--claims", "C7,C10", "--mode", "random", "--n-min", "12",

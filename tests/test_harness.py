@@ -2,17 +2,20 @@ import pytest
 
 from stablecore import (
     CLAIM_IDS,
+    Bipartition,
     CorpusSpec,
     StablecoreError,
     TooLarge,
     TooSmall,
     alpha,
+    alpha_forest,
     analyze,
     brute_force_stability,
     check_tree,
     core,
     corpus_size,
     corpus_tree,
+    delete_vertices,
     derive_seed,
     distance,
     enumerate_labeled_trees,
@@ -29,18 +32,26 @@ from stablecore import (
     tree_from_edges,
     tree_from_serialization,
 )
+from stablecore import harness
+from stablecore.errors import ScaleExceeded
 from stablecore.harness import (
     DEFAULT_SCAN_CEILING,
     HOLDS,
     NOT_APPLICABLE,
     REFUTED,
+    SCAN_CLAIMS,
     _bonding_splits,
+    _check_c1,
+    _check_c2,
+    _check_c3,
+    _check_c6,
     _check_c8,
     _check_c9,
     _factor_cores,
+    _pendant_dp_set,
     _TreeFacts,
 )
-from stablecore.independence import _Rooted
+from stablecore.independence import _mask_to_set, _Rooted, stable_masks
 
 
 def path(n):
@@ -142,19 +153,37 @@ def test_empty_suite():
 
 
 def test_scan_claims_skip_beyond_ceiling():
+    # only E1 still scans; C1, C2, C6 and C8 give verdicts at any size
     corpus = CorpusSpec(mode="random", n_min=20, n_max=20, sample_size=40, seed=5)
-    for claim in ("C1", "C2", "C6", "C8", "E1"):
+    v = run_claim("E1", corpus)
+    assert (v.checked, v.skipped) == (40, 40)
+    for claim in ("C1", "C2", "C6", "C8"):
         v = run_claim(claim, corpus)
-        assert (v.checked, v.skipped) == (40, 40)
+        assert (v.checked, v.held, v.refuted, v.skipped) == (40, 40, 0, 0)
 
 
 def test_scan_ceiling_configurable():
-    big = tree_from_edges(18, [(i, i + 1) for i in range(17)])
-    from stablecore.errors import ScaleExceeded
-
+    big = path(18)
     with pytest.raises(ScaleExceeded):
-        check_tree("C1", big)
-    assert check_tree("C1", big, scan_ceiling=18).status == "holds"
+        check_tree("E1", big)
+    assert check_tree("E1", big, scan_ceiling=18).status == "holds"
+
+
+def test_only_e1_scans_and_harness_binds_no_brute_force_path():
+    assert SCAN_CLAIMS == {"E1"}
+    for name in (
+        "stable_masks", "small_graph_from_tree", "brute_force_stability",
+        "core_naive", "_stable_masks_direct",
+    ):
+        assert not hasattr(harness, name), name
+
+
+def test_run_suite_rejects_bad_jobs_and_witness_limit():
+    with pytest.raises(StablecoreError, match="jobs"):
+        run_suite(["C7"], CORPUS_26, jobs=0)
+    with pytest.raises(StablecoreError, match="witness_limit"):
+        run_suite(["C7"], CORPUS_26, witness_limit=-1)
+    assert run_claim("C12", CORPUS_26, witness_limit=0).witnesses == ()
 
 
 def test_determinism_across_job_counts():
@@ -431,6 +460,149 @@ def test_c8_single_extension_matches_subset_loop():
             facts.alpha += 1
             assert _check_c8(facts, DEFAULT_SCAN_CEILING)[0] == REFUTED
             assert _check_c8_reference(facts)[0] == REFUTED
+
+
+# ---------------------------------------------------------------------------
+# C1, C2, C3 and C6 against the subset scan
+
+
+def _scan(facts):
+    """Stable subsets, the pendant mask and, per vertex, the mask of the
+    vertices at distance exactly two: what the subset loops read."""
+    t = facts.tree
+    g = small_graph_from_tree(t)
+    adj = g.adjacency_masks
+    dist2 = []
+    for v in range(t.n):
+        nn = 0
+        for w in t.adjacency[v]:
+            nn |= adj[w]
+        dist2.append(nn & ~adj[v] & ~(1 << v))
+    pend_mask = sum(1 << p for p in facts.pend)
+    return stable_masks(g), pend_mask, dist2
+
+
+def _lonely(m, pend_mask, dist2):
+    """No pendant member of m has another member at distance two."""
+    return not any(m >> p & 1 and dist2[p] & m for p in range(len(dist2)) if pend_mask >> p & 1)
+
+
+def _check_c1_reference(facts, scan):
+    stable, pend_mask, _ = scan
+    for m in stable:
+        if 2 * m.bit_count() >= facts.tree.n and not (m & pend_mask):
+            return REFUTED, {"stable_set": sorted(_mask_to_set(m))}
+    return HOLDS, None
+
+
+def _check_c2_reference(facts, scan):
+    stable, pend_mask, dist2 = scan
+    for m in stable:
+        if 2 * m.bit_count() < facts.tree.n or not (m & ~pend_mask):
+            continue
+        if _lonely(m, pend_mask, dist2):
+            return REFUTED, {"stable_set": sorted(_mask_to_set(m))}
+    return HOLDS, None
+
+
+def _check_c3_reference(facts, scan):
+    """C3 decided on the forest T - P."""
+    t = facts.tree
+    if len(facts.pend) == t.n or alpha_forest(delete_vertices(t, facts.pend)) < facts.alpha:
+        return HOLDS, None
+    return REFUTED, None
+
+
+def _check_c6_reference(facts, scan):
+    stable, pend_mask, dist2 = scan
+    smaller = min(len(facts.bip.a), len(facts.bip.b))
+    for m in stable:
+        if m.bit_count() <= smaller:
+            continue
+        if not (m & pend_mask):
+            return REFUTED, {"stable_set": sorted(_mask_to_set(m)), "missing": "pendant member"}
+        if _lonely(m, pend_mask, dist2):
+            return REFUTED, {"stable_set": sorted(_mask_to_set(m)), "missing": "distance-2 pair"}
+    return HOLDS, None
+
+
+_PENDANT_DP_CLAIMS = {
+    "C1": (_check_c1, _check_c1_reference),
+    "C2": (_check_c2, _check_c2_reference),
+    "C3": (_check_c3, _check_c3_reference),
+    "C6": (_check_c6, _check_c6_reference),
+}
+
+
+def _compare_with_scan(facts, refuted):
+    """Same status as the reference for each claim, and a refutation's
+    witness is stable and shows what the claim rules out."""
+    t = facts.tree
+    scan = _scan(facts)
+    _, pend_mask, dist2 = scan
+    for claim, (check, reference) in _PENDANT_DP_CLAIMS.items():
+        status, witness = check(facts, DEFAULT_SCAN_CEILING)
+        assert status == reference(facts, scan)[0], (claim, serialize_tree(t), sorted(facts.pend))
+        if status != REFUTED:
+            continue
+        members = witness["stable_set"]
+        m = sum(1 << v for v in members)
+        assert members == sorted(members) and m.bit_count() == len(members)
+        assert not any(u in members and w in members for u, w in t.edges)
+        if claim == "C1":
+            assert 2 * len(members) >= t.n and not m & pend_mask
+        elif claim == "C2":
+            assert 2 * len(members) >= t.n and m & ~pend_mask
+            assert _lonely(m, pend_mask, dist2)
+        elif claim == "C3":
+            assert len(members) == facts.alpha and not m & pend_mask
+        else:
+            assert len(members) > min(len(facts.bip.a), len(facts.bip.b))
+            assert _lonely(m, pend_mask, dist2)
+            has_pendant = bool(m & pend_mask)
+            assert witness["missing"] == ("distance-2 pair" if has_pendant else "pendant member")
+        refuted.add(witness.get("missing", claim))
+
+
+def _with(t, pend, bip=None):
+    facts = _TreeFacts(t)
+    facts.pend = frozenset(pend)
+    if bip is not None:
+        facts.bip = bip
+    return facts
+
+
+def test_pendant_dp_claims_match_subset_scan():
+    refuted = set()
+    for n in range(2, 8):
+        for t in enumerate_labeled_trees(n):
+            pend = sorted(pendant_vertices(t))
+            if n == 2:
+                _compare_with_scan(_TreeFacts(t), refuted)
+                continue
+            if n == 7:
+                for subset in (pend, []):
+                    _compare_with_scan(_with(t, subset), refuted)
+                continue
+            one_sided = Bipartition(a=frozenset(range(n)), b=frozenset())
+            for bits in range(1 << len(pend)):
+                subset = [pend[i] for i in range(len(pend)) if bits >> i & 1]
+                for bip in (None, one_sided):
+                    _compare_with_scan(_with(t, subset, bip), refuted)
+    for i in range(200):
+        _compare_with_scan(_TreeFacts(random_tree(8 + i % 13, derive_seed(21, i))), refuted)
+    assert refuted == {"C1", "C2", "C3", "pendant member", "distance-2 pair"}
+
+
+def test_pendant_free_size_matches_forest_on_large_trees():
+    for i in range(60):
+        t = random_tree(3 + 5 * i, derive_seed(22, i))
+        facts = _TreeFacts(t)
+        assert facts.free == alpha_forest(delete_vertices(t, facts.pend))
+        for lonely, size in ((False, facts.free), (True, facts.lonely)):
+            members = _pendant_dp_set(facts, lonely)
+            assert len(members) == len(set(members)) == size
+            assert not any(u in members and w in members for u, w in t.edges)
 
 
 # ---------------------------------------------------------------------------
