@@ -1,7 +1,7 @@
 """Command-line front door: analyze trees, generate corpora, verify claims.
 
 Input trees use a plain edge-list text format: lines starting with '#' are
-comments, the first data line is the vertex count n, and each of the
+comments, the first data line is the vertex count n >= 2, and each of the
 following n-1 data lines is an edge "u v" with 0-based endpoints.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error, 3 at least
@@ -49,6 +49,8 @@ def parse_tree_text(text: str) -> Tree:
                 n = int(fields[0])
             except ValueError:
                 raise ParseError(f"vertex count is not an integer: {line!r}", line=lineno)
+            if n < 2:
+                raise ParseError(f"a tree needs at least 2 vertices, got n={n}", line=lineno)
             continue
         if len(edges) == n - 1:
             raise ParseError(f"expected {n - 1} edges, found extra data {line!r}", line=lineno)

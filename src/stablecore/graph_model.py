@@ -120,29 +120,29 @@ def pendant_vertices(t: Tree) -> frozenset[int]:
 
 def bipartition(t: Tree) -> Bipartition:
     """2-color by breadth-first traversal from vertex 0."""
-    depth = bfs_depths(t, 0)
-    a = frozenset(v for v in range(t.n) if depth[v] % 2 == 0)
-    b = frozenset(v for v in range(t.n) if depth[v] % 2 == 1)
-    return Bipartition(a=a, b=b)
+    return _parity_sides(*_bfs_order(t, 0))
+
+
+def _parity_sides(order: list[int], parent: list[int]) -> Bipartition:
+    """The 2-coloring by depth parity of a breadth-first order; side ``a``
+    holds the root."""
+    odd = bytearray(len(parent))
+    for v in order[1:]:
+        odd[v] = 1 - odd[parent[v]]
+    return Bipartition(
+        a=frozenset(v for v in order if not odd[v]),
+        b=frozenset(v for v in order if odd[v]),
+    )
 
 
 def bfs_depths(t: Tree, root: int) -> list[int]:
     """Edge-count distance from ``root`` to every vertex."""
     if not 0 <= root < t.n:
         raise OutOfRange(f"vertex {root} outside 0..{t.n - 1}")
-    adjacency = t.adjacency
-    depth = [-1] * t.n
-    depth[root] = 0
-    frontier = [root]
-    i = 0
-    while i < len(frontier):
-        v = frontier[i]
-        i += 1
-        d = depth[v] + 1
-        for w in adjacency[v]:
-            if depth[w] < 0:
-                depth[w] = d
-                frontier.append(w)
+    order, parent = _bfs_order(t, root)
+    depth = [0] * t.n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
     return depth
 
 

@@ -2,10 +2,13 @@
 
 Each claim is a total function of a single tree with three outcomes: it
 holds, it is refuted (with a re-checkable witness), or its hypothesis does
-not apply. E1, the one measurement that enumerates maximal stable sets,
-raises ScaleExceeded beyond the scan ceiling; the corpus runner records
-those trees as skipped. Corpora are pure functions of their spec, so any
-worker count produces the same verdicts.
+not apply. Every checker reads only the per-tree facts. E1, the one
+measurement that enumerates maximal stable sets, raises ScaleExceeded on
+trees above SCAN_CEILING (16) vertices; the corpus runner records those
+trees as skipped. Corpora are pure functions of their spec: the runner hands
+each worker a slice of corpus indices (with isomorphism dedup, of the kept
+ones), the worker rebuilds those trees, and so any worker count produces the
+same verdicts.
 
 Registry:
 
@@ -47,7 +50,7 @@ from functools import cached_property
 from multiprocessing import get_context
 from typing import Iterable, Iterator
 
-from .errors import ScaleExceeded, StablecoreError, TooLarge, TooSmall
+from .errors import ParseError, ScaleExceeded, StablecoreError, TooLarge, TooSmall
 from .graph_model import (
     DEFAULT_ENUMERATION_CEILING,
     Bipartition,
@@ -64,10 +67,10 @@ from .graph_model import (
 )
 from .independence import (
     SmallGraph,
+    _extend_pendants,
     _Rooted,
     _strong_unique_of,
     enumerate_maximal_stable_sets,
-    extend_pendant_set,
     small_graph_from_edges,
 )
 
@@ -76,10 +79,9 @@ CLAIM_IDS = (
     "C8", "C9", "C10", "C11", "C12", "C13", "E1",
 )
 
-# Claims that enumerate all maximal stable sets refuse trees above this
-# size; the runner counts them as skipped.
-DEFAULT_SCAN_CEILING = 16
-SCAN_CLAIMS = frozenset({"E1"})
+# E1 enumerates all maximal stable sets and refuses trees above this size;
+# the runner counts them as skipped.
+SCAN_CEILING = 16
 
 DEFAULT_WITNESS_LIMIT = 16
 
@@ -127,13 +129,18 @@ def serialize_tree(t: Tree) -> str:
 
 
 def tree_from_serialization(s: str) -> Tree:
+    """Inverse of ``serialize_tree``. Raises ParseError (line 1) on text
+    that is not of its form, or the errors of tree validation."""
     head, _, rest = s.partition(":")
-    n = int(head)
-    edges = []
-    if rest:
-        for part in rest.split(","):
-            u, _, v = part.partition("-")
-            edges.append((int(u), int(v)))
+    try:
+        n = int(head)
+        edges = []
+        if rest:
+            for part in rest.split(","):
+                u, _, v = part.partition("-")
+                edges.append((int(u), int(v)))
+    except ValueError:
+        raise ParseError(f"not a serialized tree: {s!r}", line=1) from None
     return tree_from_edges(n, edges)
 
 
@@ -254,13 +261,13 @@ def _pendant_dp_set(facts: _TreeFacts, lonely: bool) -> list[int]:
 # Claim checkers: each returns (status, witness-or-None)
 
 
-def _check_c1(facts: _TreeFacts, scan_ceiling: int):
+def _check_c1(facts: _TreeFacts):
     if 2 * facts.free < facts.tree.n:
         return HOLDS, None
     return REFUTED, {"stable_set": _pendant_dp_set(facts, lonely=False)}
 
 
-def _check_c2(facts: _TreeFacts, scan_ceiling: int):
+def _check_c2(facts: _TreeFacts):
     # Pendant members of a lonely set sit on distinct supports, so a lonely
     # set larger than the supports has a non-pendant member. Supports reach
     # n/2 only on a corona, where a non-pendant member leaves a neighboring
@@ -275,14 +282,14 @@ def _check_c2(facts: _TreeFacts, scan_ceiling: int):
     return REFUTED, {"stable_set": _pendant_dp_set(facts, lonely=True)}
 
 
-def _check_c3(facts: _TreeFacts, scan_ceiling: int):
+def _check_c3(facts: _TreeFacts):
     if facts.free < facts.alpha:
         return HOLDS, None
     # a maximum stable set that avoids every pendant vertex exists
     return REFUTED, {"stable_set": _pendant_dp_set(facts, lonely=False)}
 
 
-def _check_c4(facts: _TreeFacts, scan_ceiling: int):
+def _check_c4(facts: _TreeFacts):
     t = facts.tree
     if 2 * facts.alpha != t.n:
         return NOT_APPLICABLE, None
@@ -297,7 +304,7 @@ def _check_c4(facts: _TreeFacts, scan_ceiling: int):
     }
 
 
-def _check_c5(facts: _TreeFacts, scan_ceiling: int):
+def _check_c5(facts: _TreeFacts):
     t = facts.tree
     pend = facts.pend
     sides = facts.bip
@@ -313,7 +320,7 @@ def _check_c5(facts: _TreeFacts, scan_ceiling: int):
     }
 
 
-def _check_c6(facts: _TreeFacts, scan_ceiling: int):
+def _check_c6(facts: _TreeFacts):
     t = facts.tree
     if t.n < 3:  # on the single edge a pendant's neighbor is itself a pendant
         return HOLDS, None
@@ -325,7 +332,7 @@ def _check_c6(facts: _TreeFacts, scan_ceiling: int):
     return REFUTED, {"stable_set": members, "missing": missing}
 
 
-def _check_c7(facts: _TreeFacts, scan_ceiling: int):
+def _check_c7(facts: _TreeFacts):
     t = facts.tree
     a = facts.alpha
     xi = len(facts.core)
@@ -336,13 +343,14 @@ def _check_c7(facts: _TreeFacts, scan_ceiling: int):
     return REFUTED, {"alpha": a, "n": t.n, "xi": xi}
 
 
-def _check_c8(facts: _TreeFacts, scan_ceiling: int):
+def _check_c8(facts: _TreeFacts):
     # For n >= 3 the pendant set P is stable and holds every stable set of
     # pendants, so the claim holds iff P extends; on one edge, try each alone.
     t = facts.tree
     pend = sorted(facts.pend)
+    start = facts.rooted.one_set()
     for subset in [pend] if t.n > 2 else [[p] for p in pend]:
-        s = extend_pendant_set(t, subset)
+        s = _extend_pendants(t, subset, start)
         ok = (
             s.issuperset(subset)
             and len(s) == facts.alpha
@@ -360,21 +368,20 @@ def _bonding_splits(t: Tree, view: _Rooted):
     down_in[u]/down_ex[u] for a child u, up_in[v]/up_ex[v] for the parent;
     v is in a factor's core iff forcing it in beats leaving it out."""
     parent, down_in, down_ex = view.parent, view.down_in, view.down_ex
-    sum_ex, sum_best = view.sum_ex, view.sum_best
     up_in, up_ex = view.up()
     for v in range(t.n):
         neighbors = t.adjacency[v]
         if len(neighbors) < 2:
             continue
         pi, pe = up_in[v], up_ex[v]
-        all_ex = sum_ex[v] + pe
-        all_best = sum_best[v] + (pi if pi > pe else pe)
+        all_in = down_in[v] + pe
+        all_best = down_ex[v] + (pi if pi > pe else pe)
         for u in neighbors:
             if u == parent[v]:
                 bi, be = pi, pe
             else:
                 bi, be = down_in[u], down_ex[u]
-            rest_in = 1 + all_ex - be
+            rest_in = all_in - be
             rest_ex = all_best - (bi if bi > be else be)
             yield (v, u, 1 + be if 1 + be > bi else bi, be >= bi,
                    rest_in if rest_in > rest_ex else rest_ex, rest_in > rest_ex)
@@ -386,7 +393,7 @@ def _factor_cores(t: Tree, v: int, u: int) -> tuple[frozenset[int], frozenset[in
     return _Rooted(t, v, others).core(), _Rooted(t, v, (u,)).core()
 
 
-def _check_c9(facts: _TreeFacts, scan_ceiling: int):
+def _check_c9(facts: _TreeFacts):
     t = facts.tree
     if t.n < 3:  # the single edge has no internal vertex
         return NOT_APPLICABLE, None
@@ -416,7 +423,7 @@ def _check_c9(facts: _TreeFacts, scan_ceiling: int):
     return HOLDS, None
 
 
-def _check_c10(facts: _TreeFacts, scan_ceiling: int):
+def _check_c10(facts: _TreeFacts):
     t = facts.tree
     if 2 * facts.alpha <= t.n:
         return NOT_APPLICABLE, None
@@ -426,7 +433,7 @@ def _check_c10(facts: _TreeFacts, scan_ceiling: int):
     return REFUTED, {"core_pendants": sorted(cp)}
 
 
-def _check_c11(facts: _TreeFacts, scan_ceiling: int):
+def _check_c11(facts: _TreeFacts):
     t = facts.tree
     if 2 * facts.alpha <= t.n:
         return NOT_APPLICABLE, None
@@ -443,7 +450,7 @@ def _check_c11(facts: _TreeFacts, scan_ceiling: int):
     return HOLDS, None
 
 
-def _check_c12(facts: _TreeFacts, scan_ceiling: int):
+def _check_c12(facts: _TreeFacts):
     t = facts.tree
     if 2 * facts.alpha <= t.n:
         return NOT_APPLICABLE, None
@@ -460,7 +467,7 @@ def _check_c12(facts: _TreeFacts, scan_ceiling: int):
     return HOLDS, None
 
 
-def _check_c13(facts: _TreeFacts, scan_ceiling: int):
+def _check_c13(facts: _TreeFacts):
     xi = len(facts.core)
     a = facts.alpha
     matching = facts.tree.n - a  # alpha + mu = n on trees (Konig-Egervary)
@@ -470,10 +477,10 @@ def _check_c13(facts: _TreeFacts, scan_ceiling: int):
     return REFUTED, {"xi": xi, "alpha": a, "mu": matching, "bound": bound}
 
 
-def _check_e1(facts: _TreeFacts, scan_ceiling: int):
+def _check_e1(facts: _TreeFacts):
     t = facts.tree
-    if t.n > scan_ceiling:
-        raise ScaleExceeded(f"E1 needs an exhaustive scan; n={t.n} > ceiling {scan_ceiling}")
+    if t.n > SCAN_CEILING:
+        raise ScaleExceeded(f"E1 needs an exhaustive scan; n={t.n} > ceiling {SCAN_CEILING}")
     sides = facts.bip
     perfect = 2 * facts.alpha == t.n
     ks = []
@@ -517,12 +524,12 @@ _CHECKERS = {
 }
 
 
-def check_tree(claim: str, t: Tree, scan_ceiling: int = DEFAULT_SCAN_CEILING) -> ClaimResult:
+def check_tree(claim: str, t: Tree) -> ClaimResult:
     """Evaluate one claim on one tree. Raises ScaleExceeded when the claim
-    needs an exhaustive scan and the tree is too large for it."""
+    is E1 and the tree has more than SCAN_CEILING vertices."""
     if claim not in _CHECKERS:
         raise StablecoreError(f"unknown claim {claim!r}; valid: {', '.join(CLAIM_IDS)}")
-    status, witness = _CHECKERS[claim](_TreeFacts(t), scan_ceiling)
+    status, witness = _CHECKERS[claim](_TreeFacts(t))
     return ClaimResult(claim=claim, tree=serialize_tree(t), status=status, witness=witness)
 
 
@@ -530,9 +537,7 @@ def check_tree(claim: str, t: Tree, scan_ceiling: int = DEFAULT_SCAN_CEILING) ->
 # Corpora
 
 
-def validate_corpus(
-    spec: CorpusSpec, enumeration_ceiling: int = DEFAULT_ENUMERATION_CEILING
-) -> None:
+def validate_corpus(spec: CorpusSpec) -> None:
     if spec.mode not in ("exhaustive", "random"):
         raise StablecoreError(f"unknown corpus mode {spec.mode!r}")
     if spec.n_min < 2:
@@ -540,9 +545,9 @@ def validate_corpus(
     if spec.n_min > spec.n_max:
         raise StablecoreError(f"n_min={spec.n_min} > n_max={spec.n_max}")
     if spec.mode == "exhaustive":
-        if spec.n_max > enumeration_ceiling:
+        if spec.n_max > DEFAULT_ENUMERATION_CEILING:
             raise TooLarge(
-                f"exhaustive corpus needs n_max <= {enumeration_ceiling}, got {spec.n_max}"
+                f"exhaustive corpus needs n_max <= {DEFAULT_ENUMERATION_CEILING}, got {spec.n_max}"
             )
     else:
         if not spec.sample_size or spec.sample_size < 1:
@@ -551,10 +556,8 @@ def validate_corpus(
             raise StablecoreError("random corpus needs a seed")
 
 
-def corpus_size(
-    spec: CorpusSpec, enumeration_ceiling: int = DEFAULT_ENUMERATION_CEILING
-) -> int:
-    validate_corpus(spec, enumeration_ceiling)
+def corpus_size(spec: CorpusSpec) -> int:
+    validate_corpus(spec)
     if spec.mode == "random":
         return spec.sample_size
     return sum(labeled_tree_count(n) for n in range(spec.n_min, spec.n_max + 1))
@@ -574,22 +577,24 @@ def corpus_tree(spec: CorpusSpec, index: int) -> Tree:
     return _prufer_draw(rng, n)
 
 
-def iter_corpus(
-    spec: CorpusSpec, enumeration_ceiling: int = DEFAULT_ENUMERATION_CEILING
-) -> Iterator[Tree]:
-    """Corpus trees in index order, with isomorphism dedup applied if asked."""
-    total = corpus_size(spec, enumeration_ceiling)
-    if not spec.dedup_isomorphism:
-        for i in range(total):
-            yield corpus_tree(spec, i)
-        return
+def _kept(spec: CorpusSpec) -> Iterator[tuple[int, Tree]]:
+    """(index, tree) for each corpus tree in index order, without the trees
+    isomorphic to an earlier one when the spec asks for dedup."""
     seen: set[str] = set()
-    for i in range(total):
+    for i in range(corpus_size(spec)):
         t = corpus_tree(spec, i)
-        form = canonical_form(t)
-        if form not in seen:
+        if spec.dedup_isomorphism:
+            form = canonical_form(t)
+            if form in seen:
+                continue
             seen.add(form)
-            yield t
+        yield i, t
+
+
+def iter_corpus(spec: CorpusSpec) -> Iterator[Tree]:
+    """Corpus trees in index order, with isomorphism dedup applied if asked."""
+    for _, t in _kept(spec):
+        yield t
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +606,15 @@ def _canonical_key(result: ClaimResult) -> tuple[int, str]:
 
 
 def _process_chunk(payload):
-    spec, desc, claims, scan_ceiling, witness_limit = payload
-    if desc[0] == "range":
-        trees = [corpus_tree(spec, i) for i in range(desc[1], desc[2])]
-    else:
-        trees = desc[1]
+    spec, indices, claims, witness_limit = payload
     stats = {c: [0, 0, 0, []] for c in claims}
-    for t in trees:
+    for i in indices:
+        t = corpus_tree(spec, i)
         facts = _TreeFacts(t)
         for c in claims:
             entry = stats[c]
             try:
-                status, witness = _CHECKERS[c](facts, scan_ceiling)
+                status, witness = _CHECKERS[c](facts)
             except ScaleExceeded:
                 entry[2] += 1
                 continue
@@ -634,21 +636,15 @@ def _process_chunk(payload):
     return stats
 
 
-def _chunk_payloads(spec, claims, scan_ceiling, witness_limit, enumeration_ceiling):
-    total = corpus_size(spec, enumeration_ceiling)
+def _chunk_payloads(spec, claims, witness_limit):
+    """One payload per _CHUNK corpus indices: all of them, or with dedup
+    only the kept ones; each worker rebuilds its trees from the indices."""
     if spec.dedup_isomorphism:
-        batch: list[Tree] = []
-        for t in iter_corpus(spec, enumeration_ceiling):
-            batch.append(t)
-            if len(batch) == _CHUNK:
-                yield (spec, ("trees", batch), claims, scan_ceiling, witness_limit)
-                batch = []
-        if batch:
-            yield (spec, ("trees", batch), claims, scan_ceiling, witness_limit)
+        indices = [i for i, _ in _kept(spec)]
     else:
-        for start in range(0, total, _CHUNK):
-            desc = ("range", start, min(start + _CHUNK, total))
-            yield (spec, desc, claims, scan_ceiling, witness_limit)
+        indices = range(corpus_size(spec))
+    for start in range(0, len(indices), _CHUNK):
+        yield spec, indices[start:start + _CHUNK], claims, witness_limit
 
 
 def run_suite(
@@ -656,28 +652,27 @@ def run_suite(
     corpus: CorpusSpec,
     jobs: int = 1,
     witness_limit: int | None = DEFAULT_WITNESS_LIMIT,
-    scan_ceiling: int = DEFAULT_SCAN_CEILING,
-    enumeration_ceiling: int = DEFAULT_ENUMERATION_CEILING,
 ) -> list[Verdict]:
     """Check each claim over the whole corpus (one shared materialization).
 
-    The result is a pure function of (claims, corpus, witness_limit,
-    scan_ceiling): chunk boundaries, counting and witness ordering do not
-    depend on ``jobs``.
+    The result is a pure function of (claims, corpus, witness_limit): chunk
+    boundaries, counting and witness ordering do not depend on ``jobs``.
     """
     claims = list(claims)
     for c in claims:
         if c not in _CHECKERS:
             raise StablecoreError(f"unknown claim {c!r}; valid: {', '.join(CLAIM_IDS)}")
+        if claims.count(c) > 1:
+            raise StablecoreError(f"claim {c} is listed more than once")
     if jobs < 1:
         raise StablecoreError(f"jobs must be >= 1, got {jobs}")
     if witness_limit is not None and witness_limit < 0:
         raise StablecoreError(f"witness_limit must be >= 0, got {witness_limit}")
     if not claims:
         return []
-    validate_corpus(corpus, enumeration_ceiling)
+    validate_corpus(corpus)
     totals = {c: [0, 0, 0, []] for c in claims}
-    payloads = _chunk_payloads(corpus, claims, scan_ceiling, witness_limit, enumeration_ceiling)
+    payloads = _chunk_payloads(corpus, claims, witness_limit)
     if jobs > 1:
         with get_context("fork").Pool(jobs) as pool:
             partials = pool.imap(_process_chunk, payloads)
@@ -718,11 +713,6 @@ def run_claim(
     corpus: CorpusSpec,
     jobs: int = 1,
     witness_limit: int | None = DEFAULT_WITNESS_LIMIT,
-    scan_ceiling: int = DEFAULT_SCAN_CEILING,
-    enumeration_ceiling: int = DEFAULT_ENUMERATION_CEILING,
 ) -> Verdict:
     """Deterministic verdict for one claim over one corpus."""
-    return run_suite(
-        [claim], corpus, jobs=jobs, witness_limit=witness_limit,
-        scan_ceiling=scan_ceiling, enumeration_ceiling=enumeration_ceiling,
-    )[0]
+    return run_suite([claim], corpus, jobs=jobs, witness_limit=witness_limit)[0]

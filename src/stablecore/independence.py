@@ -25,6 +25,7 @@ from .graph_model import (
     Forest,
     Tree,
     _bfs_order,
+    _parity_sides,
     bipartition,
     pendant_vertices,
 )
@@ -37,37 +38,27 @@ class _Rooted:
     built once and read by every stability quantity of the tree.
 
     ``order``/``parent`` come from the breadth-first traversal from the root;
-    down_in[v]/down_ex[v] are the optima of v's subtree with v forced in/out,
-    and sum_ex/sum_best are the child sums they were assembled from. With
-    root neighbors in ``skip``, the view covers only the root's other
+    down_in[v]/down_ex[v] are the optima of v's subtree with v forced in/out.
+    With root neighbors in ``skip``, the view covers only the root's other
     branches, over the tree's own labels.
     """
 
-    __slots__ = ("order", "parent", "down_in", "down_ex", "sum_ex", "sum_best")
+    __slots__ = ("order", "parent", "down_in", "down_ex")
 
     def __init__(self, t: Tree, root: int = 0, skip: tuple[int, ...] = ()):
-        n = t.n
         order, parent = _bfs_order(t, root, skip)
-        down_in = [1] * n
-        down_ex = [0] * n
-        sum_ex = [0] * n
-        sum_best = [0] * n
+        down_in = [1] * t.n
+        down_ex = [0] * t.n
         for v in order[:0:-1]:
-            di = 1 + sum_ex[v]
-            de = sum_best[v]
-            down_in[v] = di
-            down_ex[v] = de
             p = parent[v]
-            sum_ex[p] += de
-            sum_best[p] += di if di > de else de
-        down_in[root] = 1 + sum_ex[root]
-        down_ex[root] = sum_best[root]
+            di = down_in[v]
+            de = down_ex[v]
+            down_in[p] += de
+            down_ex[p] += di if di > de else de
         self.order = order
         self.parent = parent
         self.down_in = down_in
         self.down_ex = down_ex
-        self.sum_ex = sum_ex
-        self.sum_best = sum_best
 
     def alpha(self) -> int:
         root = self.order[0]
@@ -81,7 +72,6 @@ class _Rooted:
         (up_ex[v]); 0 at the root. Fresh lists each call; nothing is kept."""
         parent = self.parent
         down_in, down_ex = self.down_in, self.down_ex
-        sum_ex, sum_best = self.sum_ex, self.sum_best
         up_in = [0] * len(parent)
         up_ex = [0] * len(parent)
         for v in self.order[1:]:
@@ -90,19 +80,19 @@ class _Rooted:
             de = down_ex[v]
             ui = up_in[p]
             ue = up_ex[p]
-            up_ex[v] = sum_best[p] - (di if di > de else de) + (ui if ui > ue else ue)
-            up_in[v] = 1 + sum_ex[p] - de + ue
+            up_ex[v] = down_ex[p] - (di if di > de else de) + (ui if ui > ue else ue)
+            up_in[v] = down_in[p] - de + ue
         return up_in, up_ex
 
     def core(self) -> frozenset[int]:
         """v is in the core iff alpha(T - v) == alpha(T) - 1, and alpha(T - v)
         is the child-subtree optima plus the optimum above v."""
-        sum_best = self.sum_best
+        down_ex = self.down_ex
         target = self.alpha() - 1
         up_in, up_ex = self.up()
         return frozenset(
             v for v in self.order
-            if sum_best[v] + (up_in[v] if up_in[v] > up_ex[v] else up_ex[v]) == target
+            if down_ex[v] + (up_in[v] if up_in[v] > up_ex[v] else up_ex[v]) == target
         )
 
     def count(self) -> int:
@@ -144,14 +134,7 @@ class _Rooted:
 
     def bipartition(self) -> Bipartition:
         """The 2-coloring by depth parity; side ``a`` holds the root."""
-        parent = self.parent
-        odd = bytearray(len(parent))
-        for v in self.order[1:]:
-            odd[v] = 1 - odd[parent[v]]
-        return Bipartition(
-            a=frozenset(v for v in self.order if not odd[v]),
-            b=frozenset(v for v in self.order if odd[v]),
-        )
+        return _parity_sides(self.order, self.parent)
 
 
 def alpha(t: Tree) -> int:
@@ -469,8 +452,15 @@ def extend_pendant_set(t: Tree, a: Iterable[int]) -> frozenset[int]:
     for u in members:
         if adjacency[u][0] in members:
             raise NotStable(f"vertices {u} and {adjacency[u][0]} are adjacent")
-    s = set(one_maximum_stable_set(t))
-    for u in sorted(members - s):
+    return _extend_pendants(t, members, one_maximum_stable_set(t))
+
+
+def _extend_pendants(t: Tree, members: Iterable[int], start: frozenset[int]) -> frozenset[int]:
+    """The exchange loop of ``extend_pendant_set``, from the maximum stable
+    set ``start``, on pendant vertices already checked."""
+    adjacency = t.adjacency
+    s = set(start)
+    for u in sorted(set(members) - s):
         # u's unique neighbor sits in s, or s was not maximum
         s.remove(adjacency[u][0])
         s.add(u)

@@ -58,6 +58,13 @@ def test_parse_malformed(text):
         parse_tree_text(text)
 
 
+@pytest.mark.parametrize("text, line", [("0\n", 1), ("1\n", 1), ("# c\n-4\n0 1\n", 2)])
+def test_parse_vertex_count_below_two(text, line):
+    with pytest.raises(ParseError, match="a tree needs at least 2 vertices") as exc:
+        parse_tree_text(text)
+    assert exc.value.line == line
+
+
 def test_parse_invalid_tree_propagates():
     with pytest.raises(NotATree):
         parse_tree_text("3\n0 1\n0 1\n")
@@ -280,6 +287,16 @@ def test_verify_unknown_claim_is_usage_error(tmp_path, capsys):
     ])
     assert rc == 1
     assert "unknown claims" in capsys.readouterr().err
+
+
+def test_verify_repeated_claim_is_usage_error(tmp_path, capsys):
+    rc = main([
+        "verify", "--claims", "C7,C7,C12", "--mode", "exhaustive", "--n-min", "2",
+        "--n-max", "5", "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 1
+    assert "C7" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_jobs_zero_is_usage_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ from stablecore import (
     CLAIM_IDS,
     Bipartition,
     CorpusSpec,
+    ParseError,
     StablecoreError,
     TooLarge,
     TooSmall,
@@ -35,11 +36,11 @@ from stablecore import (
 from stablecore import harness
 from stablecore.errors import ScaleExceeded
 from stablecore.harness import (
-    DEFAULT_SCAN_CEILING,
+    _CHUNK,
     HOLDS,
     NOT_APPLICABLE,
     REFUTED,
-    SCAN_CLAIMS,
+    SCAN_CEILING,
     _bonding_splits,
     _check_c1,
     _check_c2,
@@ -91,6 +92,13 @@ def test_serialization_round_trip():
     for t in [path(2), path(5), fig5_tree()]:
         assert tree_from_serialization(serialize_tree(t)) == t
     assert serialize_tree(path(3)) == "3:0-1,1-2"
+
+
+@pytest.mark.parametrize("text", ["3:0-1,x-2", "abc", "", "3:0-1,1", "2:0-1-"])
+def test_serialization_rejects_malformed_text(text):
+    with pytest.raises(ParseError) as exc:
+        tree_from_serialization(text)
+    assert exc.value.line == 1
 
 
 def test_claim_registry_is_complete():
@@ -162,15 +170,13 @@ def test_scan_claims_skip_beyond_ceiling():
         assert (v.checked, v.held, v.refuted, v.skipped) == (40, 40, 0, 0)
 
 
-def test_scan_ceiling_configurable():
-    big = path(18)
+def test_scan_ceiling_boundary():
+    assert check_tree("E1", path(SCAN_CEILING)).status == "holds"
     with pytest.raises(ScaleExceeded):
-        check_tree("E1", big)
-    assert check_tree("E1", big, scan_ceiling=18).status == "holds"
+        check_tree("E1", path(SCAN_CEILING + 1))
 
 
 def test_only_e1_scans_and_harness_binds_no_brute_force_path():
-    assert SCAN_CLAIMS == {"E1"}
     for name in (
         "stable_masks", "small_graph_from_tree", "brute_force_stability",
         "core_naive", "_stable_masks_direct",
@@ -184,6 +190,11 @@ def test_run_suite_rejects_bad_jobs_and_witness_limit():
     with pytest.raises(StablecoreError, match="witness_limit"):
         run_suite(["C7"], CORPUS_26, witness_limit=-1)
     assert run_claim("C12", CORPUS_26, witness_limit=0).witnesses == ()
+
+
+def test_run_suite_rejects_repeated_claim():
+    with pytest.raises(StablecoreError, match="C7"):
+        run_suite(["C7", "C12", "C7"], CORPUS_26)
 
 
 def test_determinism_across_job_counts():
@@ -250,6 +261,15 @@ def test_dedup_corpus_is_job_count_invariant():
     parallel = run_suite(["C7", "C12"], spec, jobs=2)
     assert serial == parallel
     assert serial[0].checked == 3 + 6 + 11
+
+
+def test_dedup_corpus_over_two_chunks():
+    spec = CorpusSpec("random", 14, 16, sample_size=5000, seed=1, dedup_isomorphism=True)
+    kept = len(list(iter_corpus(spec)))
+    assert kept > _CHUNK
+    serial = run_suite(["C7", "C12"], spec, jobs=1)
+    assert serial == run_suite(["C7", "C12"], spec, jobs=2)
+    assert serial[0].checked == kept
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +461,7 @@ def test_c9_refutations_match_reference_on_tampered_facts():
                 facts = _TreeFacts(t)
                 facts.core = tampered_core
                 facts.alpha = tampered_alpha
-                got = _check_c9(facts, DEFAULT_SCAN_CEILING)
+                got = _check_c9(facts)
                 assert got == _check_c9_reference(facts), serialize_tree(t)
                 if got[0] == REFUTED:
                     laws.add(got[1]["law"])
@@ -456,9 +476,9 @@ def test_c8_single_extension_matches_subset_loop():
     for n in range(2, 8):
         for t in enumerate_labeled_trees(n):
             facts = _TreeFacts(t)
-            assert _check_c8(facts, DEFAULT_SCAN_CEILING) == _check_c8_reference(facts)
+            assert _check_c8(facts) == _check_c8_reference(facts)
             facts.alpha += 1
-            assert _check_c8(facts, DEFAULT_SCAN_CEILING)[0] == REFUTED
+            assert _check_c8(facts)[0] == REFUTED
             assert _check_c8_reference(facts)[0] == REFUTED
 
 
@@ -541,7 +561,7 @@ def _compare_with_scan(facts, refuted):
     scan = _scan(facts)
     _, pend_mask, dist2 = scan
     for claim, (check, reference) in _PENDANT_DP_CLAIMS.items():
-        status, witness = check(facts, DEFAULT_SCAN_CEILING)
+        status, witness = check(facts)
         assert status == reference(facts, scan)[0], (claim, serialize_tree(t), sorted(facts.pend))
         if status != REFUTED:
             continue
