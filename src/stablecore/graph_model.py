@@ -2,7 +2,10 @@
 
 Vertices are 0-based contiguous integers. A ``Tree`` always has n >= 2,
 exactly n-1 edges, and is connected; ``Forest`` (produced by vertex
-deletion) may contain singleton components. Labeled trees are generated
+deletion) may contain singleton components. Trees come from two
+constructors: ``tree_from_edges`` fully validates an edge list from
+outside, and ``prufer_decode`` builds the tree of a checked Prufer code
+directly, since every such code is a tree. Labeled trees are generated
 and enumerated through the Prufer bijection, and compared up to
 isomorphism through an AHU parenthesis encoding rooted at the tree center.
 
@@ -12,9 +15,10 @@ sampled corpus is reproducible bit-for-bit across machines and runs.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyResult, NotATree, OutOfRange, TooLarge, TooSmall
 
@@ -28,7 +32,9 @@ class Tree:
     """Connected acyclic graph on vertices 0..n-1, immutable after construction.
 
     ``adjacency[v]`` is the sorted tuple of neighbors of v; ``edges`` holds
-    the n-1 pairs as (min, max), sorted. Build through ``tree_from_edges``.
+    the n-1 pairs as (min, max), sorted. Build one from outside input
+    through ``tree_from_edges``, which validates it; ``prufer_decode`` (and
+    so ``random_tree`` and the enumeration) builds its trees directly.
     """
 
     n: int
@@ -69,15 +75,20 @@ class Bipartition:
 
 
 def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
-    """Validate and build a Tree from an edge list.
+    """Validate and build a Tree from an edge list: the constructor for
+    input from outside the program.
 
     Raises TooSmall (n < 2), OutOfRange (endpoint outside 0..n-1) or
     NotATree (wrong edge count, self-loop, duplicate edge, disconnected).
+    The edge count is checked before anything is allocated per vertex, so
+    rejecting an input costs time and memory in its length, not in n.
     """
     if n < 2:
         raise TooSmall(f"a tree needs at least 2 vertices, got n={n}")
+    edges = list(edges)
+    if len(edges) != n - 1:
+        raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
     adj: list[list[int]] = [[] for _ in range(n)]
-    count = 0
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
             raise OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
@@ -85,9 +96,6 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
             raise NotATree(f"self-loop at vertex {u}")
         adj[u].append(v)
         adj[v].append(u)
-        count += 1
-    if count != n - 1:
-        raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {count}")
     for v in range(n):
         adj[v].sort()
         prev = -1
@@ -109,8 +117,15 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
                 stack.append(w)
     if reached != n:
         raise NotATree(f"graph is disconnected ({reached} of {n} vertices reachable)")
-    canon = sorted((v, w) for v in range(n) for w in adj[v] if v < w)
-    return Tree(n=n, adjacency=tuple(tuple(a) for a in adj), edges=tuple(canon))
+    return _tree_from_adjacency(range(n), tuple([tuple(a) for a in adj]))
+
+
+def _tree_from_adjacency(labels: Sequence[int], adjacency: tuple[tuple[int, ...], ...]) -> Tree:
+    """The Tree whose neighbor tuples, each sorted, are ``adjacency``;
+    ``labels[v]`` is the int that stands for v in the edge pairs. The
+    pairs come out in canonical order, v ascending and then w."""
+    edges = tuple([(v, w) for v, a in zip(labels, adjacency) for w in a if v < w])
+    return Tree(n=len(adjacency), adjacency=adjacency, edges=edges)
 
 
 def pendant_vertices(t: Tree) -> frozenset[int]:
@@ -199,24 +214,36 @@ def delete_vertices(t: Tree, w: Iterable[int]) -> Forest:
 
 def prufer_decode(code: Iterable[int], n: int) -> Tree:
     """Tree for a Prufer sequence of length n-2 (the convention where the
-    lowest-numbered leaf is removed first and vertex n-1 survives to the end)."""
+    lowest-numbered leaf is removed first and vertex n-1 survives to the end).
+
+    Raises TooSmall (n < 2) or OutOfRange (wrong length, or an entry that
+    is not an int in 0..n-1). Every code that passes these checks decodes
+    to a tree, so the Tree is built straight from the decoded parents,
+    without the checks of ``tree_from_edges``.
+    """
     if n < 2:
         raise TooSmall(f"need n >= 2, got n={n}")
     seq = list(code)
     if len(seq) != n - 2:
         raise OutOfRange(f"code length {len(seq)} != n-2 = {n - 2}")
     degree = [1] * n
-    for x in seq:
-        if not 0 <= x < n:
-            raise OutOfRange(f"code entry {x} outside 0..{n - 1}")
-        degree[x] += 1
-    edges = []
+    try:
+        for x in seq:
+            if not 0 <= x < n:
+                raise OutOfRange(f"code entry {x} outside 0..{n - 1}")
+            degree[x] += 1
+    except TypeError:
+        raise OutOfRange(f"code entry {x!r} is not an int") from None
+    child_count = [d - 1 for d in degree]
+    child_count[n - 1] += 1
+    # Every vertex but n-1 is removed once, as a leaf, next to its parent.
+    parent = [0] * (n - 1)
     ptr = 0
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
     for x in seq:
-        edges.append((leaf, x))
+        parent[leaf] = x
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
@@ -225,8 +252,25 @@ def prufer_decode(code: Iterable[int], n: int) -> Tree:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n - 1))
-    return tree_from_edges(n, edges)
+    parent[leaf] = n - 1
+    # Every int in the Tree is taken from ``labels``, one object per vertex.
+    # Each list is dropped as soon as its tuple is made: a million live
+    # lists would keep the garbage collector busy.
+    labels = list(range(n))
+    by_parent = labels[:-1]
+    by_parent.sort(key=parent.__getitem__)  # stable: each vertex's children ascending
+    adjacency = []
+    start = 0
+    for k, p in zip(child_count, parent):
+        if k:
+            a = by_parent[start:start + k]
+            start += k
+            insort(a, labels[p])
+            adjacency.append(tuple(a))
+        else:
+            adjacency.append((labels[p],))
+    adjacency.append(tuple(by_parent[start:]))
+    return _tree_from_adjacency(labels, tuple(adjacency))
 
 
 def prufer_encode(t: Tree) -> tuple[int, ...]:

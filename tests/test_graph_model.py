@@ -1,5 +1,6 @@
+import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from stablecore import (
     prufer_encode,
     random_tree,
     tree_from_edges,
+    tree_from_serialization,
 )
 from stablecore.errors import EmptyResult
 
@@ -78,6 +80,19 @@ def test_invalid_inputs(n, edges, err):
 def test_edge_order_is_canonical():
     t = tree_from_edges(3, [(2, 1), (1, 0)])
     assert t.edges == ((0, 1), (1, 2))
+
+
+def test_edge_count_checked_before_per_vertex_allocation():
+    # 8 characters naming 10^6 vertices: rejected at a cost bounded by the
+    # text, not by n (allocating per vertex first would peak near 60 MiB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotATree, match=r"^a tree on 1000000 vertices needs 999999 edges, got 0$"):
+            tree_from_serialization("1000000:")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +153,70 @@ def test_prufer_decode_examples():
     with pytest.raises(OutOfRange):
         prufer_decode([4], 4)
     with pytest.raises(OutOfRange):
+        prufer_decode([-1], 3)
+    with pytest.raises(OutOfRange):
         prufer_decode([0], 4)  # wrong length
     with pytest.raises(TooSmall):
         prufer_decode([], 1)
+    for entry in (1.5, "1", None):
+        with pytest.raises(OutOfRange, match="is not an int"):
+            prufer_decode([entry], 3)
+        with pytest.raises(OutOfRange, match="is not an int"):
+            prufer_decode([0, entry, 1], 5)
+
+
+def _reference_decode(code, n):
+    """The decode as an edge list, validated by ``tree_from_edges``."""
+    seq = list(code)
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    ptr = 0
+    while degree[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for x in seq:
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
+    return tree_from_edges(n, edges)
+
+
+def test_prufer_decode_matches_validated_reference_exhaustive():
+    # all 280,392 codes with n <= 8
+    for n in range(2, 9):
+        for code in product(range(n), repeat=n - 2):
+            assert prufer_decode(code, n) == _reference_decode(code, n), (n, code)
+
+
+def test_generated_trees_equal_their_validated_rebuild():
+    for n in (3, 4, 9, 64, 257, 1000, 4099, 20000):
+        for seed in range(3):
+            t = random_tree(n, seed=31 * n + seed)
+            assert t == tree_from_edges(n, t.edges)
+    n = 10**4
+    star_tree = prufer_decode([0] * (n - 2), n)
+    assert star_tree == star(n) == _reference_decode([0] * (n - 2), n)
+    path_tree = prufer_decode(range(1, n - 1), n)
+    assert path_tree == path(n) == _reference_decode(range(1, n - 1), n)
+
+
+def test_decoded_tree_holds_one_int_object_per_vertex():
+    t = random_tree(5000, seed=7)
+    ids = {id(v) for a in t.adjacency for v in a}
+    ids.update(id(v) for e in t.edges for v in e)
+    assert len(ids) == t.n
 
 
 def test_prufer_round_trip_exhaustive():
-    from itertools import product
-
     for n in range(2, 8):
         for code in product(range(n), repeat=n - 2):
             assert prufer_encode(prufer_decode(code, n)) == code
