@@ -4,8 +4,9 @@ Input trees use a plain edge-list text format: lines starting with '#' are
 comments, the first data line is the vertex count n >= 2, and each of the
 following n-1 data lines is an edge "u v" with 0-based endpoints.
 
-Exit codes: 0 success, 1 usage error, 2 parse/validation error, 3 at least
-one claim refuted during ``verify`` (distinct from a harness crash).
+Exit codes: 0 success, 1 usage error, 2 parse/validation error (an input
+file that cannot be read or is not UTF-8 included), 3 at least one claim
+refuted during ``verify`` (distinct from a harness crash).
 """
 
 from __future__ import annotations
@@ -70,9 +71,21 @@ def parse_tree_text(text: str) -> Tree:
 
 
 def parse_tree_file(path: str) -> Tree:
+    """``parse_tree_text`` of a file, or of stdin for "-". A file that
+    cannot be read, or is not UTF-8, raises ParseError too."""
     if path == "-":
         return parse_tree_text(sys.stdin.read())
-    return parse_tree_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}", line=None) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text (byte {exc.start})", line=data.count(b"\n", 0, exc.start) + 1
+        ) from None
+    return parse_tree_text(text)
 
 
 def format_tree_file(t: Tree) -> str:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class StablecoreError(Exception):
     """Base class for all errors raised by stablecore."""
@@ -49,8 +51,9 @@ class ScaleExceeded(StablecoreError):
 
 
 class ParseError(StablecoreError):
-    """Malformed edge-list input. ``line`` is the 1-based offending line number."""
+    """Malformed or unreadable edge-list input. ``line`` is the 1-based
+    offending line number, or None when the input cannot be read at all."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyResult, NotATree, OutOfRange, TooLarge, TooSmall
@@ -25,6 +25,9 @@ from .errors import EmptyResult, NotATree, OutOfRange, TooLarge, TooSmall
 DEFAULT_ENUMERATION_CEILING = 9
 
 _MASK64 = (1 << 64) - 1
+
+# swaps the bytes 0 and 1, turning a 0/1 membership mask into its complement
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     """Validate and build a Tree from an edge list: the constructor for
     input from outside the program.
 
-    Raises TooSmall (n < 2), OutOfRange (endpoint outside 0..n-1) or
+    Raises TooSmall (n < 2), OutOfRange (endpoint not an int in 0..n-1) or
     NotATree (wrong edge count, self-loop, duplicate edge, disconnected).
     The edge count is checked before anything is allocated per vertex, so
     rejecting an input costs time and memory in its length, not in n.
@@ -89,13 +92,18 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     if len(edges) != n - 1:
         raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise NotATree(f"self-loop at vertex {u}")
-        adj[u].append(v)
-        adj[v].append(u)
+    try:
+        for u, v in edges:
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+            if u == v:
+                raise NotATree(f"self-loop at vertex {u}")
+            adj[u].append(v)
+            adj[v].append(u)
+    except TypeError:
+        # a non-int endpoint fails the range check or the list index
+        bad = next(x for e in edges for x in e if not isinstance(x, int))
+        raise OutOfRange(f"endpoint {bad!r} is not an int") from None
     for v in range(n):
         adj[v].sort()
         prev = -1
@@ -138,15 +146,17 @@ def bipartition(t: Tree) -> Bipartition:
     return _parity_sides(*_bfs_order(t, 0))
 
 
-def _parity_sides(order: list[int], parent: list[int]) -> Bipartition:
-    """The 2-coloring by depth parity of a breadth-first order; side ``a``
-    holds the root."""
-    odd = bytearray(len(parent))
-    for v in order[1:]:
-        odd[v] = 1 - odd[parent[v]]
+def _parity_sides(order: list[int], parent_at: list[int]) -> Bipartition:
+    """The 2-coloring by depth parity of a breadth-first order (see
+    ``_bfs_order``); side ``a`` holds the root."""
+    odd = bytearray(len(order))
+    i = 1
+    for p in parent_at[1:]:
+        odd[i] = odd[p] ^ 1
+        i += 1
     return Bipartition(
-        a=frozenset(v for v in order if not odd[v]),
-        b=frozenset(v for v in order if odd[v]),
+        a=frozenset(compress(order, odd.translate(_FLIP))),
+        b=frozenset(compress(order, odd)),
     )
 
 
@@ -154,10 +164,15 @@ def bfs_depths(t: Tree, root: int) -> list[int]:
     """Edge-count distance from ``root`` to every vertex."""
     if not 0 <= root < t.n:
         raise OutOfRange(f"vertex {root} outside 0..{t.n - 1}")
-    order, parent = _bfs_order(t, root)
+    order, parent_at = _bfs_order(t, root)
+    depth_at = [0] * t.n
+    i = 1
+    for p in parent_at[1:]:
+        depth_at[i] = depth_at[p] + 1
+        i += 1
     depth = [0] * t.n
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
+    for v, d in zip(order, depth_at):
+        depth[v] = d
     return depth
 
 
@@ -333,14 +348,12 @@ def _centers(t: Tree) -> list[int]:
 
 
 def _rooted_encoding(t: Tree, root: int) -> str:
-    order, parent = _bfs_order(t, root)
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    enc = [""] * t.n
-    for v in reversed(order):
-        enc[v] = "(" + "".join(sorted(enc[c] for c in children[v])) + ")"
-    return enc[root]
+    _, parent_at = _bfs_order(t, root)
+    # bottom-up: each position's encoding is final before its parent's turn
+    below: list[list[str]] = [[] for _ in parent_at]
+    for i in range(len(parent_at) - 1, 0, -1):
+        below[parent_at[i]].append("(" + "".join(sorted(below[i])) + ")")
+    return "(" + "".join(sorted(below[0])) + ")"
 
 
 def canonical_form(t: Tree) -> str:
@@ -353,26 +366,33 @@ def canonical_form(t: Tree) -> str:
 
 
 def _bfs_order(t: Tree, root: int, skip: tuple[int, ...] = ()) -> tuple[list[int], list[int]]:
-    """Breadth-first vertex order and parent array for the tree rooted at
-    ``root``, entering no neighbor of the root listed in ``skip``."""
+    """Breadth-first order of the tree rooted at ``root``, entering no
+    neighbor of the root listed in ``skip``, as two lists over positions:
+    ``order[i]`` is the vertex at position i and ``parent_at[i]`` the
+    position of its parent, -1 at the root (position 0).
+
+    A parent comes before its children, and ``parent_at`` never decreases
+    along the order. So a pass that walks the positions forward (top-down)
+    or backward (bottom-up) and indexes its tables by position reads and
+    writes them in order, where tables indexed by vertex label would be
+    touched at random. Labels come back only at the edge, through ``order``.
+    """
     adjacency = t.adjacency
-    parent = [-1] * t.n
-    parent[root] = root
+    seen = bytearray(t.n)
+    seen[root] = 1
     for w in skip:
-        parent[w] = root
+        seen[w] = 1
     order = [root]
+    parent_at = [-1]
     i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    for v in order:
         for w in adjacency[v]:
-            if parent[w] < 0:
-                parent[w] = v
+            if not seen[w]:
+                seen[w] = 1
                 order.append(w)
-    parent[root] = -1
-    for w in skip:
-        parent[w] = -1
-    return order, parent
+                parent_at.append(i)
+        i += 1
+    return order, parent_at
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +420,27 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, bound: int) -> int:
+        return self.draws(bound, 1)[0]
+
+    def draws(self, bound: int, count: int) -> list[int]:
+        """``count`` uniform draws from 0..bound-1: each is the next
+        ``next_u64`` output below the largest multiple of bound up to 2^64,
+        reduced mod bound. The limit is computed once and ``next_u64`` is
+        inlined, which matters at a million draws."""
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % bound
+        state = self.state
+        out = [0] * count
+        for i in range(count):
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                z ^= z >> 31
+                if z < limit:
+                    break
+            out[i] = z % bound
+        self.state = state
+        return out
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -426,7 +462,7 @@ def random_tree(n: int, seed: int) -> Tree:
 
 def _prufer_draw(rng: SplitMix64, n: int) -> Tree:
     """Decode the Prufer code of n - 2 uniform draws from ``rng``."""
-    return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+    return prufer_decode(rng.draws(n, n - 2), n)
 
 
 def labeled_tree_count(n: int) -> int:

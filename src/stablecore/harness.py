@@ -206,33 +206,38 @@ class _TreeFacts:
 
 
 def _pendant_dp(facts: _TreeFacts, lonely: bool):
-    """Downward DP over the shared rooted order with the pendants left out,
+    """Downward DP over the shared rooted view with the pendants left out,
     for the largest lonely stable set S, or with ``lonely`` false the
     largest one with no pendant member, alpha(T - P).
 
-    Per non-pendant v, the optimum over v's subtree and its pendants with
-    v in S (take[v]), with one of v's pendants in S and so neither v nor a
-    non-pendant neighbor of v (hang[v], only allowed for a lonely set), or
-    with neither (skip[v]). Returns the size and the tables."""
+    Per non-pendant position i, the optimum over its subtree and its
+    pendants with it in S (take[i]), with one of its pendants in S and so
+    neither it nor a non-pendant neighbor (hang[i], only allowed for a
+    lonely set), or with neither (skip[i]). The tables are indexed by
+    breadth-first position, as the view's are. Returns the size, and the
+    non-pendant positions with the tables."""
     t = facts.tree
     pend = facts.pend
-    parent = facts.rooted.parent
-    inner = [v for v in facts.rooted.order if v not in pend]
+    order, parent_at = facts.rooted.order, facts.rooted.parent_at
+    inner = [i for i, v in enumerate(order) if v not in pend]
     if not inner:  # the single edge: T - P is empty
         return 0, None
     take = [1] * t.n
     hang = [float("-inf")] * t.n
     skip = [0] * t.n
     if lonely:
-        for p in pend:
-            hang[t.adjacency[p][0]] = 1
+        # a pendant hangs on its parent; a pendant root on its one child,
+        # which sits at position 1
+        for v, p in zip(order, parent_at):
+            if v in pend:
+                hang[p if p >= 0 else 1] = 1
     # every non-pendant but the first has a non-pendant parent
-    for v in inner[:0:-1]:
-        p = parent[v]
-        tv, hv, sv = take[v], hang[v], skip[v]
-        take[p] += sv
-        hang[p] += hv if hv > sv else sv
-        skip[p] += max(tv, hv, sv)
+    for i in inner[:0:-1]:
+        p = parent_at[i]
+        ti, hi, si = take[i], hang[i], skip[i]
+        take[p] += si
+        hang[p] += hi if hi > si else si
+        skip[p] += max(ti, hi, si)
     r = inner[0]
     return max(take[r], hang[r], skip[r]), (inner, take, hang, skip)
 
@@ -245,15 +250,15 @@ def _pendant_dp_set(facts: _TreeFacts, lonely: bool) -> list[int]:
     tables = (take, hang, skip)
     allowed = ((2,), (1, 2), (0, 1, 2))
     adjacency = facts.tree.adjacency
-    parent = facts.rooted.parent
+    order, parent_at = facts.rooted.order, facts.rooted.parent_at
     state = {}
     members = []
-    for v in inner:
-        state[v] = k = max(allowed[state.get(parent[v], 2)], key=lambda s: tables[s][v])
+    for i in inner:
+        state[i] = k = max(allowed[state.get(parent_at[i], 2)], key=lambda s: tables[s][i])
         if k == 0:
-            members.append(v)
+            members.append(order[i])
         elif k == 1:
-            members.append(min(w for w in adjacency[v] if w in facts.pend))
+            members.append(min(w for w in adjacency[order[i]] if w in facts.pend))
     return sorted(members)
 
 
@@ -364,23 +369,30 @@ def _check_c8(facts: _TreeFacts):
 def _bonding_splits(t: Tree, view: _Rooted):
     """(v, u, alpha(T1), v in core(T1), alpha(T2), v in core(T2)) for every
     split T = T1 * v * T2 at an internal v, T1 being v plus the branch behind
-    neighbor u, in v-then-u order. A branch's (in, out) optima are
-    down_in[u]/down_ex[u] for a child u, up_in[v]/up_ex[v] for the parent;
-    v is in a factor's core iff forcing it in beats leaving it out."""
-    parent, down_in, down_ex = view.parent, view.down_in, view.down_ex
+    neighbor u, in v-then-u order. At the positions i of v and j of u, a
+    branch's (in, out) optima are down_in[j]/down_ex[j] for a child u,
+    up_in[i]/up_ex[i] for the parent; v is in a factor's core iff forcing it
+    in beats leaving it out."""
+    parent_at, down_in, down_ex = view.parent_at, view.down_in, view.down_ex
     up_in, up_ex = view.up()
+    at = [0] * t.n  # vertex label -> position
+    for i, v in enumerate(view.order):
+        at[v] = i
     for v in range(t.n):
         neighbors = t.adjacency[v]
         if len(neighbors) < 2:
             continue
-        pi, pe = up_in[v], up_ex[v]
-        all_in = down_in[v] + pe
-        all_best = down_ex[v] + (pi if pi > pe else pe)
+        i = at[v]
+        pi, pe = up_in[i], up_ex[i]
+        all_in = down_in[i] + pe
+        all_best = down_ex[i] + (pi if pi > pe else pe)
+        above = parent_at[i]
         for u in neighbors:
-            if u == parent[v]:
+            j = at[u]
+            if j == above:
                 bi, be = pi, pe
             else:
-                bi, be = down_in[u], down_ex[u]
+                bi, be = down_in[j], down_ex[j]
             rest_in = all_in - be
             rest_ex = all_best - (bi if bi > be else be)
             yield (v, u, 1 + be if 1 + be > bi else bi, be >= bi,

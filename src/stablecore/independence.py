@@ -16,7 +16,7 @@ trees, and explicit enumeration of the maximum stable sets themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Iterator
 
 from .errors import LimitExceeded, NotPendant, NotStable, StablecoreError, TooLarge
@@ -37,104 +37,111 @@ class _Rooted:
     """A tree rooted at vertex ``root`` with its downward include/exclude DP,
     built once and read by every stability quantity of the tree.
 
-    ``order``/``parent`` come from the breadth-first traversal from the root;
-    down_in[v]/down_ex[v] are the optima of v's subtree with v forced in/out.
-    With root neighbors in ``skip``, the view covers only the root's other
-    branches, over the tree's own labels.
+    Every table is indexed by breadth-first position, not by vertex label:
+    ``order[i]`` is the vertex at position i (the root at 0) and
+    ``parent_at[i]`` the position of its parent, -1 at the root (see
+    ``graph_model._bfs_order``); down_in[i]/down_ex[i] are the optima of
+    the subtree of ``order[i]`` with it forced in/out. Parents come before
+    children and ``parent_at`` never decreases, so each pass below is one
+    sequential sweep over its tables; labels come back only in the sets it
+    returns, selected from ``order``. With root neighbors in ``skip``, the
+    view covers only the root's other branches and its tables are sized to
+    that part.
     """
 
-    __slots__ = ("order", "parent", "down_in", "down_ex")
+    __slots__ = ("order", "parent_at", "down_in", "down_ex")
 
     def __init__(self, t: Tree, root: int = 0, skip: tuple[int, ...] = ()):
-        order, parent = _bfs_order(t, root, skip)
-        down_in = [1] * t.n
-        down_ex = [0] * t.n
-        for v in order[:0:-1]:
-            p = parent[v]
-            di = down_in[v]
-            de = down_ex[v]
+        order, parent_at = _bfs_order(t, root, skip)
+        m = len(order)
+        down_in = [1] * m
+        down_ex = [0] * m
+        i = m - 1
+        for p in parent_at[:0:-1]:
+            di = down_in[i]
+            de = down_ex[i]
             down_in[p] += de
             down_ex[p] += di if di > de else de
+            i -= 1
         self.order = order
-        self.parent = parent
+        self.parent_at = parent_at
         self.down_in = down_in
         self.down_ex = down_ex
 
     def alpha(self) -> int:
-        root = self.order[0]
-        di = self.down_in[root]
-        de = self.down_ex[root]
+        di = self.down_in[0]
+        de = self.down_ex[0]
         return di if di > de else de
 
     def up(self) -> tuple[list[int], list[int]]:
-        """Upward pass: for each non-root v, the optimum of the branch behind
-        v's parent, away from v, with the parent forced in (up_in[v]) or out
-        (up_ex[v]); 0 at the root. Fresh lists each call; nothing is kept."""
-        parent = self.parent
+        """Upward pass: for each non-root position i, the optimum of the
+        branch behind its parent, away from i, with the parent forced in
+        (up_in[i]) or out (up_ex[i]); 0 at the root. Fresh lists each call;
+        nothing is kept."""
         down_in, down_ex = self.down_in, self.down_ex
-        up_in = [0] * len(parent)
-        up_ex = [0] * len(parent)
-        for v in self.order[1:]:
-            p = parent[v]
-            di = down_in[v]
-            de = down_ex[v]
+        m = len(down_in)
+        up_in = [0] * m
+        up_ex = [0] * m
+        i = 1
+        for p in self.parent_at[1:]:
+            di = down_in[i]
+            de = down_ex[i]
             ui = up_in[p]
             ue = up_ex[p]
-            up_ex[v] = down_ex[p] - (di if di > de else de) + (ui if ui > ue else ue)
-            up_in[v] = down_in[p] - de + ue
+            up_ex[i] = down_ex[p] - (di if di > de else de) + (ui if ui > ue else ue)
+            up_in[i] = down_in[p] - de + ue
+            i += 1
         return up_in, up_ex
 
     def core(self) -> frozenset[int]:
         """v is in the core iff alpha(T - v) == alpha(T) - 1, and alpha(T - v)
         is the child-subtree optima plus the optimum above v."""
-        down_ex = self.down_ex
         target = self.alpha() - 1
         up_in, up_ex = self.up()
-        return frozenset(
-            v for v in self.order
-            if down_ex[v] + (up_in[v] if up_in[v] > up_ex[v] else up_ex[v]) == target
-        )
+        return frozenset(compress(self.order, [
+            de + (ui if ui > ue else ue) == target
+            for de, ui, ue in zip(self.down_ex, up_in, up_ex)
+        ]))
 
     def count(self) -> int:
         """Number of maximum stable sets: the DP multiplicities of each
-        subtree optimum, with v forced in (in_cnt) or out (ex_cnt)."""
-        order, parent = self.order, self.parent
+        subtree optimum, with its root forced in (in_cnt) or out (ex_cnt)."""
         down_in, down_ex = self.down_in, self.down_ex
-        n = len(parent)
-        in_cnt = [1] * n
-        ex_cnt = [1] * n
-        for v in order[:0:-1]:
-            p = parent[v]
-            in_cnt[p] *= ex_cnt[v]
-            if down_in[v] > down_ex[v]:
-                ex_cnt[p] *= in_cnt[v]
-            elif down_in[v] < down_ex[v]:
-                ex_cnt[p] *= ex_cnt[v]
+        m = len(down_in)
+        in_cnt = [1] * m
+        ex_cnt = [1] * m
+        i = m - 1
+        for p in self.parent_at[:0:-1]:
+            in_cnt[p] *= ex_cnt[i]
+            if down_in[i] > down_ex[i]:
+                ex_cnt[p] *= in_cnt[i]
+            elif down_in[i] < down_ex[i]:
+                ex_cnt[p] *= ex_cnt[i]
             else:
-                ex_cnt[p] *= in_cnt[v] + ex_cnt[v]
-        root = order[0]
-        if down_in[root] > down_ex[root]:
-            return in_cnt[root]
-        if down_in[root] < down_ex[root]:
-            return ex_cnt[root]
-        return in_cnt[root] + ex_cnt[root]
+                ex_cnt[p] *= in_cnt[i] + ex_cnt[i]
+            i -= 1
+        if down_in[0] > down_ex[0]:
+            return in_cnt[0]
+        if down_in[0] < down_ex[0]:
+            return ex_cnt[0]
+        return in_cnt[0] + ex_cnt[0]
 
     def one_set(self) -> frozenset[int]:
-        """Deterministic maximum stable set: top-down, take v when its parent
-        is out and forcing v in is optimal."""
-        order, parent = self.order, self.parent
+        """Deterministic maximum stable set: top-down, take a vertex when its
+        parent is out and forcing it in is optimal."""
         down_in, down_ex = self.down_in, self.down_ex
-        chosen = bytearray(len(parent))
-        root = order[0]
-        chosen[root] = 1 if down_in[root] >= down_ex[root] else 0
-        for v in order[1:]:
-            if not chosen[parent[v]]:
-                chosen[v] = 1 if down_in[v] >= down_ex[v] else 0
-        return frozenset(v for v in range(len(chosen)) if chosen[v])
+        chosen = bytearray(len(down_in))
+        chosen[0] = down_in[0] >= down_ex[0]
+        i = 1
+        for p in self.parent_at[1:]:
+            if not chosen[p]:
+                chosen[i] = down_in[i] >= down_ex[i]
+            i += 1
+        return frozenset(compress(self.order, chosen))
 
     def bipartition(self) -> Bipartition:
         """The 2-coloring by depth parity; side ``a`` holds the root."""
-        return _parity_sides(self.order, self.parent)
+        return _parity_sides(self.order, self.parent_at)
 
 
 def alpha(t: Tree) -> int:
@@ -349,36 +356,37 @@ def enumerate_maximum_stable_sets(t: Tree, limit: int) -> list[frozenset[int]]:
     count = view.count()
     if count > limit:
         raise LimitExceeded(f"{count} maximum stable sets exceed limit {limit}", count=count)
-    order, parent, down_in, down_ex = view.order, view.parent, view.down_in, view.down_ex
+    order, down_in, down_ex = view.order, view.down_in, view.down_ex
     n = t.n
-    # bit 1: v in, bit 2: v out; optimal[v] holds the states that are optimal
-    # for v's subtree, used[v] those that some maximum stable set takes
-    optimal = bytearray((down_in[v] >= down_ex[v]) | (down_ex[v] >= down_in[v]) << 1
-                        for v in range(n))
+    # per position, bit 1: in, bit 2: out; optimal[i] holds the states that
+    # are optimal for i's subtree, used[i] those that some maximum stable set
+    # takes
+    optimal = bytearray((di >= de) | (de >= di) << 1 for di, de in zip(down_in, down_ex))
     used = bytearray(n)
     used[0] = optimal[0]
     children: list[list[int]] = [[] for _ in range(n)]
-    for v in order[1:]:
-        p = parent[v]
-        children[p].append(v)
+    i = 1
+    for p in view.parent_at[1:]:
+        children[p].append(i)
         if used[p] & 1:
-            used[v] |= 2
+            used[i] |= 2
         if used[p] & 2:
-            used[v] |= optimal[v]
+            used[i] |= optimal[i]
+        i += 1
     sets_in: list[list[frozenset[int]] | None] = [None] * n
     sets_ex: list[list[frozenset[int]] | None] = [None] * n
 
-    def optimal_sets(v: int) -> list[frozenset[int]]:
-        return (sets_in[v] if optimal[v] & 1 else []) + (sets_ex[v] if optimal[v] & 2 else [])
+    def optimal_sets(i: int) -> list[frozenset[int]]:
+        return (sets_in[i] if optimal[i] & 1 else []) + (sets_ex[i] if optimal[i] & 2 else [])
 
-    for v in reversed(order):
-        kids = children[v]
-        if used[v] & 1:
-            head = frozenset((v,))
-            sets_in[v] = [head.union(*combo) for combo in product(*(sets_ex[c] for c in kids))]
-        if used[v] & 2:
+    for i in range(n - 1, -1, -1):
+        kids = children[i]
+        if used[i] & 1:
+            head = frozenset((order[i],))
+            sets_in[i] = [head.union(*combo) for combo in product(*(sets_ex[c] for c in kids))]
+        if used[i] & 2:
             parts = [optimal_sets(c) for c in kids]
-            sets_ex[v] = [frozenset().union(*combo) for combo in product(*parts)]
+            sets_ex[i] = [frozenset().union(*combo) for combo in product(*parts)]
         for c in kids:
             sets_in[c] = sets_ex[c] = None
     results = optimal_sets(0)

@@ -9,6 +9,7 @@ from stablecore.cli import (
     export_dot,
     format_tree_file,
     main,
+    parse_tree_file,
     parse_tree_text,
     write_report,
 )
@@ -162,6 +163,25 @@ def test_parse_error_exits_two(tmp_path, capsys):
     f = write(tmp_path, "bad.txt", "3\n0 1\n")
     assert main(["analyze", f]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_missing_file_exits_two(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for argv in (["analyze", missing], ["convert", missing, "--dot", "-"],
+                 ["bond", missing, "0", missing, "0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and "Traceback" not in err
+
+
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    f = tmp_path / "latin.txt"
+    f.write_bytes(b"3\n0 1\n1 \xff2\n")
+    assert main(["analyze", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+    with pytest.raises(ParseError) as exc:
+        parse_tree_file(str(f))
+    assert exc.value.line == 3 and "not UTF-8" in str(exc.value)
 
 
 def test_usage_error_exits_one(capsys):

@@ -1,0 +1,52 @@
+"""Golden digests: the bytes of a few reports, pinned by SHA-256.
+
+A change that should not move any output (a faster pass, a refactor) must
+leave every digest here as it is. A change that moves an output on purpose
+updates the digest and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from stablecore import analyze, random_tree
+from stablecore.cli import export_dot, main, write_report
+from stablecore.harness import fig5_tree
+
+
+def sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def test_analysis_report_digests():
+    f5 = fig5_tree()
+    rep = analyze(f5)
+    assert sha256(write_report(rep)) == (
+        "b8e411443e1b0ffd6e39050f1499c049fb608c7e7e37bd8d654da03a3aa822a2"
+    )
+    assert sha256(export_dot(f5, rep)) == (
+        "b195e31f1c7cae2023d0b7a64462bae4941b44c2877bd45773bc74ff41ffdc67"
+    )
+    assert sha256(write_report(analyze(random_tree(10**4, 1)))) == (
+        "8a408764945fb78d77544df59e45d380119b7debe92e63e7d93bd297b0816d42"
+    )
+
+
+@pytest.mark.parametrize("corpus,digest", [
+    (["--mode", "exhaustive", "--n-min", "2", "--n-max", "6"],
+     "ede200d06b354a927a2208194ecdcb9bfb3ab203cd49d25e4e12238a8f93f31b"),
+    (["--mode", "random", "--n-min", "10", "--n-max", "20", "--sample", "500", "--seed", "3"],
+     "20002ceb8ae96416e68ac983255d05a0951c8d047453cd8d9eba985994db7766"),
+], ids=["exhaustive-2-6", "random-10-20"])
+def test_verify_report_digests(tmp_path, capsys, corpus, digest):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--claims", "all", *corpus, "--out", str(out)]) == 3  # C12, C13
+    capsys.readouterr()
+    assert sha256(out.read_bytes()) == digest
+
+
+def test_gen_random_digest(capsys):
+    assert main(["gen", "--random", "--n", "50", "--count", "40", "--seed", "5", "--out", "-"]) == 0
+    assert sha256(capsys.readouterr().out) == (
+        "704a66152098ccd0e568d82d6b5d5d5ddab054e686a6df0328bd7b9d22835b11"
+    )

@@ -70,11 +70,20 @@ def test_cycle_rejected():
         (4, [(0, 1), (2, 3), (0, 1)], NotATree),  # duplicate + disconnected
         (4, [(0, 1), (1, 2)], NotATree),  # too few edges
         (3, [(0, 1)], NotATree),
+        (2, [(0, 1.0)], OutOfRange),  # endpoints that are not ints
+        (2, [(0, "1")], OutOfRange),
+        (2, [(0, None)], OutOfRange),
     ],
 )
 def test_invalid_inputs(n, edges, err):
     with pytest.raises(err):
         tree_from_edges(n, edges)
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None])
+def test_non_int_endpoint_is_named(bad):
+    with pytest.raises(OutOfRange, match=r"^endpoint .* is not an int$"):
+        tree_from_edges(3, [(0, 1), (bad, 2)])
 
 
 def test_edge_order_is_canonical():
@@ -281,6 +290,28 @@ def test_random_tree_smallest_and_deterministic():
     assert random_tree(17, 99) != random_tree(17, 100)
     with pytest.raises(TooSmall):
         random_tree(1, 0)
+
+
+def _reference_randrange(rng, bound):
+    # one rejection-sampled draw, its limit recomputed for every draw
+    limit = (1 << 64) - ((1 << 64) % bound)
+    while True:
+        u = rng.next_u64()
+        if u < limit:
+            return u % bound
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 9, 2**20 - 1, 2**20, 2**20 + 1,
+                                   2**63 - 1, 2**63, 2**63 + 1])
+def test_draws_equal_single_draws(bound):
+    # 2^63 + 1 rejects almost half of the outputs
+    batch, single = SplitMix64(bound), SplitMix64(bound)
+    drawn = batch.draws(bound, 10**4)
+    assert drawn == [_reference_randrange(single, bound) for _ in range(10**4)]
+    assert batch.state == single.state
+    assert [batch.randrange(bound) for _ in range(10)] == [
+        _reference_randrange(single, bound) for _ in range(10)
+    ]
 
 
 def test_random_tree_uniform_chi_square():

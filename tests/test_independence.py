@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablecore import (
     AnalysisReport,
+    Bipartition,
     LimitExceeded,
     NotPendant,
     NotStable,
@@ -12,8 +15,10 @@ from stablecore import (
     alpha,
     alpha_forest,
     analyze,
+    bfs_depths,
     bipartition,
     brute_force_stability,
+    canonical_form,
     check_tree,
     core,
     core_naive,
@@ -36,7 +41,9 @@ from stablecore import (
     spider,
     tree_from_edges,
 )
+from stablecore.graph_model import _centers
 from stablecore.harness import fig1_graph, fig5_tree
+from stablecore.independence import _Rooted
 
 
 def path(n):
@@ -366,3 +373,186 @@ def test_extend_on_larger_random_trees():
         picked = [v for v in pend if rng.randrange(2)]
         s = extend_pendant_set(t, picked)
         assert set(picked) <= s and len(s) == alpha(t)
+
+
+# ---------------------------------------------------------------------------
+# the position-indexed rooted view against a label-indexed reference
+
+
+def _label_bfs(t, root, skip=()):
+    """Breadth-first order and parent labels, every table indexed by label
+    (-1 at the root and outside the view)."""
+    parent = [-1] * t.n
+    parent[root] = root
+    for w in skip:
+        parent[w] = root
+    order = [root]
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        for w in t.adjacency[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    parent[root] = -1
+    for w in skip:
+        parent[w] = -1
+    return order, parent
+
+
+class _LabelRooted:
+    """The rooted view with its tables indexed by vertex label."""
+
+    def __init__(self, t, root=0, skip=()):
+        self.order, self.parent = _label_bfs(t, root, skip)
+        self.down_in = [1] * t.n
+        self.down_ex = [0] * t.n
+        for v in self.order[:0:-1]:
+            p = self.parent[v]
+            self.down_in[p] += self.down_ex[v]
+            self.down_ex[p] += max(self.down_in[v], self.down_ex[v])
+
+    def alpha(self):
+        r = self.order[0]
+        return max(self.down_in[r], self.down_ex[r])
+
+    def up(self):
+        up_in = [0] * len(self.parent)
+        up_ex = [0] * len(self.parent)
+        for v in self.order[1:]:
+            p = self.parent[v]
+            up_ex[v] = (self.down_ex[p] - max(self.down_in[v], self.down_ex[v])
+                        + max(up_in[p], up_ex[p]))
+            up_in[v] = self.down_in[p] - self.down_ex[v] + up_ex[p]
+        return up_in, up_ex
+
+    def core(self):
+        up_in, up_ex = self.up()
+        target = self.alpha() - 1
+        return frozenset(
+            v for v in self.order if self.down_ex[v] + max(up_in[v], up_ex[v]) == target
+        )
+
+    def count(self):
+        in_cnt = [1] * len(self.parent)
+        ex_cnt = [1] * len(self.parent)
+        for v in self.order[:0:-1]:
+            p = self.parent[v]
+            in_cnt[p] *= ex_cnt[v]
+            di, de = self.down_in[v], self.down_ex[v]
+            ex_cnt[p] *= in_cnt[v] if di > de else ex_cnt[v] if di < de else in_cnt[v] + ex_cnt[v]
+        r = self.order[0]
+        di, de = self.down_in[r], self.down_ex[r]
+        return in_cnt[r] if di > de else ex_cnt[r] if di < de else in_cnt[r] + ex_cnt[r]
+
+    def one_set(self):
+        chosen = set()
+        for v in self.order:
+            p = self.parent[v]
+            if (p < 0 or p not in chosen) and self.down_in[v] >= self.down_ex[v]:
+                chosen.add(v)
+        return frozenset(chosen)
+
+    def depths(self):
+        depth = [0] * len(self.parent)
+        for v in self.order[1:]:
+            depth[v] = depth[self.parent[v]] + 1
+        return depth
+
+    def bipartition(self):
+        depth = self.depths()
+        return Bipartition(
+            a=frozenset(v for v in self.order if depth[v] % 2 == 0),
+            b=frozenset(v for v in self.order if depth[v] % 2),
+        )
+
+    def maximum_sets(self):
+        """Every maximum stable set, bottom-up over all (vertex, state)
+        pairs, sorted as ``enumerate_maximum_stable_sets`` sorts them."""
+        children = {v: [] for v in self.order}
+        for v in self.order[1:]:
+            children[self.parent[v]].append(v)
+        best_in, best_ex = {}, {}
+        for v in reversed(self.order):
+            best_in[v] = [frozenset((v,)).union(*c)
+                          for c in product(*(best_ex[w] for w in children[v]))]
+            best_ex[v] = [frozenset().union(*c) for c in product(*(
+                (best_in[w] if self.down_in[w] >= self.down_ex[w] else [])
+                + (best_ex[w] if self.down_ex[w] >= self.down_in[w] else [])
+                for w in children[v]))]
+        r = self.order[0]
+        sets = ((best_in[r] if self.down_in[r] >= self.down_ex[r] else [])
+                + (best_ex[r] if self.down_ex[r] >= self.down_in[r] else []))
+        return sorted(sets, key=lambda s: tuple(sorted(s)))
+
+
+def _label_canonical_form(t):
+    def encoding(root):
+        order, parent = _label_bfs(t, root)
+        enc = {}
+        for v in reversed(order):
+            enc[v] = "(" + "".join(sorted(enc[w] for w in t.adjacency[v] if parent[w] == v)) + ")"
+        return enc[root]
+
+    return min(encoding(c) for c in _centers(t))
+
+
+def _assert_view_matches(t, root, skip=()):
+    view, ref = _Rooted(t, root, skip), _LabelRooted(t, root, skip)
+    order, parent_at = view.order, view.parent_at
+    where = (t.edges, root, skip)
+    assert order == ref.order, where
+    assert len(parent_at) == len(view.down_in) == len(view.down_ex) == len(order), where
+    # the root at position 0; parents before children, in nondecreasing order
+    assert parent_at[0] == -1, where
+    assert all(p <= q < i for i, p, q in zip(range(2, len(order)), parent_at[1:], parent_at[2:])), where
+    assert [order[p] for p in parent_at[1:]] == [ref.parent[v] for v in order[1:]], where
+    assert view.down_in == [ref.down_in[v] for v in order], where
+    assert view.down_ex == [ref.down_ex[v] for v in order], where
+    up_in, up_ex = view.up()
+    ref_in, ref_ex = ref.up()
+    assert up_in == [ref_in[v] for v in order], where
+    assert up_ex == [ref_ex[v] for v in order], where
+    assert view.alpha() == ref.alpha(), where
+    assert view.core() == ref.core(), where
+    assert view.count() == ref.count(), where
+    assert view.one_set() == ref.one_set(), where
+    assert view.bipartition() == ref.bipartition(), where
+    if not skip:
+        assert bfs_depths(t, root) == ref.depths(), where
+
+
+def _assert_tree_matches(t, roots):
+    for r in roots:
+        _assert_view_matches(t, r)
+        if t.degree(r) >= 2:
+            # the part views that _factor_cores builds at a split of r by
+            # neighbor u: the branch behind u, and the rest
+            u = t.adjacency[r][-1]
+            _assert_view_matches(t, r, (u,))
+            _assert_view_matches(t, r, tuple(w for w in t.adjacency[r] if w != u))
+    assert canonical_form(t) == _label_canonical_form(t)
+    ref = _LabelRooted(t)
+    if ref.count() <= 1000:  # the reference builds every state's sets
+        assert enumerate_maximum_stable_sets(t, limit=1000) == ref.maximum_sets()
+
+
+def test_positional_view_matches_label_reference_exhaustive():
+    # every root for n <= 6; at n = 7 and 8 the root turns with the tree
+    # index, so each root is taken on thousands of trees. The 262,144 trees
+    # on 8 vertices check the rooted view only: the rest would take minutes.
+    for n in range(2, 9):
+        for k, t in enumerate(enumerate_labeled_trees(n)):
+            if n <= 6:
+                _assert_tree_matches(t, range(n))
+            elif n == 7:
+                _assert_tree_matches(t, (k % n,))
+            else:
+                _assert_view_matches(t, k % n)
+
+
+def test_positional_view_matches_label_reference_seeded():
+    for n, seed in ((30, 1), (200, 2), (1999, 3), (20_000, 4)):
+        t = random_tree(n, seed)
+        _assert_tree_matches(t, (0, *SplitMix64(seed).draws(n, 3)))
