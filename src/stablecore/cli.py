@@ -4,9 +4,10 @@ Input trees use a plain edge-list text format: lines starting with '#' are
 comments, the first data line is the vertex count n >= 2, and each of the
 following n-1 data lines is an edge "u v" with 0-based endpoints.
 
-Exit codes: 0 success, 1 usage error, 2 parse/validation error (an input
-file that cannot be read or is not UTF-8 included), 3 at least one claim
-refuted during ``verify`` (distinct from a harness crash).
+Exit codes: 0 success, 1 usage error or an output that cannot be written,
+2 parse/validation error (an input file that cannot be read or is not UTF-8
+included), 3 at least one claim refuted during ``verify`` (distinct from a
+harness crash).
 """
 
 from __future__ import annotations
@@ -182,11 +183,22 @@ def export_dot(t: Tree, rep: AnalysisReport) -> str:
 # Commands
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out``, or to stdout for None or "-".
+    Returns the exit code: 0, or 1 when the file cannot be written."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(out, exc)
+    return 0
+
+
+def _cannot_write(path: str | Path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
 
 
 def _cmd_analyze(args) -> int:
@@ -199,10 +211,10 @@ def _cmd_analyze(args) -> int:
     if args.json is None and args.dot is None:
         sys.stdout.write(write_report(rep))
         return 0
-    if args.json is not None:
-        _emit(write_report(rep), args.json)
+    if args.json is not None and _emit(write_report(rep), args.json):
+        return 1
     if args.dot is not None:
-        _emit(export_dot(t, rep), args.dot)
+        return _emit(export_dot(t, rep), args.dot)
     return 0
 
 
@@ -226,13 +238,15 @@ def _cmd_gen(args) -> int:
     if args.out is None or args.out == "-":
         sys.stdout.write("\n".join(format_tree_file(t) for t in trees))
         return 0
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = path = Path(args.out)
     width = max(5, len(str(max(len(trees) - 1, 0))))
-    for i, t in enumerate(trees):
-        (out_dir / f"tree_{i:0{width}d}.txt").write_text(
-            format_tree_file(t), encoding="utf-8"
-        )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, t in enumerate(trees):
+            path = out_dir / f"tree_{i:0{width}d}.txt"
+            path.write_text(format_tree_file(t), encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(path, exc)
     print(f"wrote {len(trees)} trees to {out_dir}")
     return 0
 
@@ -261,7 +275,8 @@ def _cmd_verify(args) -> int:
     except StablecoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(write_report(verdicts), args.out)
+    if _emit(write_report(verdicts), args.out):
+        return 1
     if args.out != "-":
         for v in verdicts:
             print(
@@ -284,8 +299,7 @@ def _cmd_bond(args) -> int:
         print("error: bond vertex outside its tree", file=sys.stderr)
         return 1
     bond = vertex_bond(t1, args.v1, t2, args.v2)
-    _emit(format_tree_file(bond.tree), args.out)
-    return 0
+    return _emit(format_tree_file(bond.tree), args.out)
 
 
 def _cmd_convert(args) -> int:
@@ -294,8 +308,7 @@ def _cmd_convert(args) -> int:
     except StablecoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(export_dot(t, analyze(t)), args.dot)
-    return 0
+    return _emit(export_dot(t, analyze(t)), args.dot)
 
 
 class _Parser(argparse.ArgumentParser):

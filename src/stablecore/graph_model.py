@@ -1,12 +1,13 @@
 """Trees as immutable adjacency structures, plus generation and enumeration.
 
 Vertices are 0-based contiguous integers. A ``Tree`` always has n >= 2,
-exactly n-1 edges, and is connected; ``Forest`` (produced by vertex
-deletion) may contain singleton components. Trees come from two
-constructors: ``tree_from_edges`` fully validates an edge list from
-outside, and ``prufer_decode`` builds the tree of a checked Prufer code
-directly, since every such code is a tree. Labeled trees are generated
-and enumerated through the Prufer bijection, and compared up to
+exactly n-1 edges, and is connected. It stores only its adjacency: its
+``edges`` cost O(n) per access, so hot paths read the adjacency.
+``Forest`` (produced by vertex deletion) may contain singleton components.
+Trees come from two constructors: ``tree_from_edges`` fully validates an
+edge list from outside, and ``prufer_decode`` builds the tree of a checked
+Prufer code directly, since every such code is a tree. Labeled trees are
+generated and enumerated through the Prufer bijection, and compared up to
 isomorphism through an AHU parenthesis encoding rooted at the tree center.
 
 Randomness comes from an explicit SplitMix64 generator so that every
@@ -18,7 +19,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import compress, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import EmptyResult, NotATree, OutOfRange, TooLarge, TooSmall
 
@@ -34,15 +35,19 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 class Tree:
     """Connected acyclic graph on vertices 0..n-1, immutable after construction.
 
-    ``adjacency[v]`` is the sorted tuple of neighbors of v; ``edges`` holds
-    the n-1 pairs as (min, max), sorted. Build one from outside input
-    through ``tree_from_edges``, which validates it; ``prufer_decode`` (and
-    so ``random_tree`` and the enumeration) builds its trees directly.
+    ``adjacency[v]`` is the sorted tuple of neighbors of v, and it is all
+    the tree stores. Build one from outside input through
+    ``tree_from_edges``, which validates it; ``prufer_decode`` (and so
+    ``random_tree`` and the enumeration) builds its trees directly.
     """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The n-1 edges (v, w) with v < w, sorted; derived in O(n) per access."""
+        return tuple([(v, w) for v, a in enumerate(self.adjacency) for w in a if v < w])
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -125,15 +130,7 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
                 stack.append(w)
     if reached != n:
         raise NotATree(f"graph is disconnected ({reached} of {n} vertices reachable)")
-    return _tree_from_adjacency(range(n), tuple([tuple(a) for a in adj]))
-
-
-def _tree_from_adjacency(labels: Sequence[int], adjacency: tuple[tuple[int, ...], ...]) -> Tree:
-    """The Tree whose neighbor tuples, each sorted, are ``adjacency``;
-    ``labels[v]`` is the int that stands for v in the edge pairs. The
-    pairs come out in canonical order, v ascending and then w."""
-    edges = tuple([(v, w) for v, a in zip(labels, adjacency) for w in a if v < w])
-    return Tree(n=len(adjacency), adjacency=adjacency, edges=edges)
+    return Tree(n=n, adjacency=tuple([tuple(a) for a in adj]))
 
 
 def pendant_vertices(t: Tree) -> frozenset[int]:
@@ -285,7 +282,7 @@ def prufer_decode(code: Iterable[int], n: int) -> Tree:
         else:
             adjacency.append((labels[p],))
     adjacency.append(tuple(by_parent[start:]))
-    return _tree_from_adjacency(labels, tuple(adjacency))
+    return Tree(n=n, adjacency=tuple(adjacency))
 
 
 def prufer_encode(t: Tree) -> tuple[int, ...]:
@@ -479,12 +476,13 @@ def labeled_tree_at(n: int, index: int) -> Tree:
     return prufer_decode(digits, n)
 
 
-def enumerate_labeled_trees(n: int, ceiling: int = DEFAULT_ENUMERATION_CEILING) -> Iterator[Tree]:
+def enumerate_labeled_trees(n: int) -> Iterator[Tree]:
     """Yield every labeled tree on n vertices exactly once (n^(n-2) of them),
-    in lexicographic Prufer-code order."""
+    in lexicographic Prufer-code order. Raises TooLarge above
+    DEFAULT_ENUMERATION_CEILING vertices."""
     if n < 2:
         raise TooSmall(f"need n >= 2, got n={n}")
-    if n > ceiling:
-        raise TooLarge(f"n={n} exceeds the enumeration ceiling {ceiling}")
+    if n > DEFAULT_ENUMERATION_CEILING:
+        raise TooLarge(f"n={n} exceeds the enumeration ceiling {DEFAULT_ENUMERATION_CEILING}")
     for code in product(range(n), repeat=n - 2):
         yield prufer_decode(code, n)

@@ -50,7 +50,7 @@ from functools import cached_property
 from multiprocessing import get_context
 from typing import Iterable, Iterator
 
-from .errors import ParseError, ScaleExceeded, StablecoreError, TooLarge, TooSmall
+from .errors import OutOfRange, ParseError, ScaleExceeded, StablecoreError, TooLarge, TooSmall
 from .graph_model import (
     DEFAULT_ENUMERATION_CEILING,
     Bipartition,
@@ -125,7 +125,7 @@ class Verdict:
 
 
 def serialize_tree(t: Tree) -> str:
-    return f"{t.n}:" + ",".join(f"{u}-{v}" for u, v in t.edges)
+    return f"{t.n}:" + ",".join([f"{v}-{w}" for v, a in enumerate(t.adjacency) for w in a if v < w])
 
 
 def tree_from_serialization(s: str) -> Tree:
@@ -359,7 +359,7 @@ def _check_c8(facts: _TreeFacts):
         ok = (
             s.issuperset(subset)
             and len(s) == facts.alpha
-            and not any(u in s and w in s for u, w in t.edges)
+            and all(s.isdisjoint(t.adjacency[u]) for u in s)
         )
         if not ok:
             return REFUTED, {"pendant_subset": subset, "returned_set": sorted(s)}
@@ -576,17 +576,22 @@ def corpus_size(spec: CorpusSpec) -> int:
 
 
 def corpus_tree(spec: CorpusSpec, index: int) -> Tree:
-    """Tree number ``index`` of the corpus; pure in (spec, index)."""
-    if spec.mode == "exhaustive":
+    """Tree number ``index`` of the corpus; pure in (spec, index). Raises
+    the errors of ``validate_corpus`` for a bad spec, and OutOfRange for an
+    index outside 0..corpus_size(spec)-1."""
+    validate_corpus(spec)
+    if spec.mode == "exhaustive" and index >= 0:
+        rest = index
         for n in range(spec.n_min, spec.n_max + 1):
             block = labeled_tree_count(n)
-            if index < block:
-                return labeled_tree_at(n, index)
-            index -= block
-        raise StablecoreError("index beyond corpus end")
-    rng = SplitMix64(derive_seed(spec.seed, index))
-    n = spec.n_min + rng.randrange(spec.n_max - spec.n_min + 1)
-    return _prufer_draw(rng, n)
+            if rest < block:
+                return labeled_tree_at(n, rest)
+            rest -= block
+    elif spec.mode == "random" and 0 <= index < spec.sample_size:
+        rng = SplitMix64(derive_seed(spec.seed, index))
+        n = spec.n_min + rng.randrange(spec.n_max - spec.n_min + 1)
+        return _prufer_draw(rng, n)
+    raise OutOfRange(f"corpus index {index} outside 0..{corpus_size(spec) - 1}")
 
 
 def _kept(spec: CorpusSpec) -> Iterator[tuple[int, Tree]]:

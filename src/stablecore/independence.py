@@ -494,7 +494,7 @@ def _strong_unique_of(t: Tree, view: _Rooted) -> bool:
     if view.count() != 1:
         return False
     s = view.one_set()
-    return all(u in s or v in s for u, v in t.edges)
+    return all(v in s or s.issuperset(a) for v, a in enumerate(t.adjacency))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,22 @@ def test_non_utf8_file_exits_two(tmp_path, capsys):
     assert exc.value.line == 3 and "not UTF-8" in str(exc.value)
 
 
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    f = write(tmp_path, "p3.txt", format_tree_file(path(3)))
+    missing = str(tmp_path / "no-such-dir" / "out")
+    for argv in (["analyze", f, "--json", missing], ["analyze", f, "--dot", missing],
+                 ["analyze", f, "--json", "-", "--dot", missing],
+                 ["verify", "--claims", "C7", "--mode", "exhaustive", "--n-min", "2",
+                  "--n-max", "3", "--out", missing],
+                 ["bond", f, "1", f, "1", "--out", missing],
+                 ["convert", f, "--dot", missing]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {missing}: No such file or directory\n", argv
+    assert main(["gen", "--exhaustive", "--n", "3", "--out", f]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {f}: File exists\n"
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])

@@ -9,8 +9,8 @@ import hashlib
 
 import pytest
 
-from stablecore import analyze, random_tree
-from stablecore.cli import export_dot, main, write_report
+from stablecore import analyze, random_tree, tree_from_edges
+from stablecore.cli import export_dot, format_tree_file, main, write_report
 from stablecore.harness import fig5_tree
 
 
@@ -43,6 +43,25 @@ def test_verify_report_digests(tmp_path, capsys, corpus, digest):
     assert main(["verify", "--claims", "all", *corpus, "--out", str(out)]) == 3  # C12, C13
     capsys.readouterr()
     assert sha256(out.read_bytes()) == digest
+
+
+def test_bond_digest(tmp_path, capsys):
+    left = tmp_path / "fig5.txt"
+    left.write_text(format_tree_file(fig5_tree()), encoding="utf-8")
+    right = tmp_path / "spur.txt"
+    right.write_text(format_tree_file(tree_from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])),
+                     encoding="utf-8")
+    assert main(["bond", str(left), "6", str(right), "1", "--out", "-"]) == 0
+    assert sha256(capsys.readouterr().out) == (
+        "4e4a356a8574e00c4120001b4bf9de2ca3095c41f88e1553c5911c5e20bde381"
+    )
+
+
+def test_gen_exhaustive_digest(capsys):
+    assert main(["gen", "--exhaustive", "--n", "6", "--out", "-"]) == 0
+    assert sha256(capsys.readouterr().out) == (
+        "f899e651dd1b07d93026e5cf72569bffb57781d57a4c8c3d78c05c9e570efa72"
+    )
 
 
 def test_gen_random_digest(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -12,6 +13,7 @@ from stablecore import (
     SplitMix64,
     TooLarge,
     TooSmall,
+    Tree,
     bipartition,
     canonical_form,
     delete_vertices,
@@ -221,8 +223,14 @@ def test_generated_trees_equal_their_validated_rebuild():
 def test_decoded_tree_holds_one_int_object_per_vertex():
     t = random_tree(5000, seed=7)
     ids = {id(v) for a in t.adjacency for v in a}
-    ids.update(id(v) for e in t.edges for v in e)
     assert len(ids) == t.n
+
+
+def test_tree_stores_only_its_adjacency():
+    assert [f.name for f in dataclasses.fields(Tree)] == ["n", "adjacency"]
+    t = random_tree(300, seed=2)
+    pairs = {(min(v, w), max(v, w)) for v in range(t.n) for w in t.adjacency[v]}
+    assert t.edges == tuple(sorted(pairs)) and len(pairs) == t.n - 1
 
 
 def test_prufer_round_trip_exhaustive():
@@ -334,9 +342,6 @@ def test_enumeration_counts_and_distinctness(n, count):
 def test_enumeration_ceiling():
     with pytest.raises(TooLarge):
         next(enumerate_labeled_trees(10))
-    # raising the ceiling unlocks larger n
-    gen = enumerate_labeled_trees(10, ceiling=10)
-    assert next(gen).n == 10
 
 
 # ---------------------------------------------------------------------------

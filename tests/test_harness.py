@@ -4,6 +4,7 @@ from stablecore import (
     CLAIM_IDS,
     Bipartition,
     CorpusSpec,
+    OutOfRange,
     ParseError,
     StablecoreError,
     TooLarge,
@@ -238,6 +239,26 @@ def test_exhaustive_corpus_matches_enumeration():
     listed = [corpus_tree(spec, i) for i in range(total)]
     expected = [t for n in range(2, 6) for t in enumerate_labeled_trees(n)]
     assert listed == expected
+
+
+def test_corpus_tree_rejects_indices_and_specs_outside_the_corpus():
+    exhaustive = CorpusSpec(mode="exhaustive", n_min=2, n_max=5)
+    last = corpus_size(exhaustive) - 1
+    assert corpus_tree(exhaustive, last) == corpus_tree(CorpusSpec("exhaustive", 5, 5), 124)
+    for index in (-1, -200, last + 1, 10**6):
+        with pytest.raises(OutOfRange):
+            corpus_tree(exhaustive, index)
+    sample = CorpusSpec(mode="random", n_min=4, n_max=9, sample_size=3, seed=1)
+    corpus_tree(sample, 2)
+    for index in (-1, 3, 10):
+        with pytest.raises(OutOfRange):
+            corpus_tree(sample, index)
+    with pytest.raises(StablecoreError):
+        corpus_tree(CorpusSpec("bogus", 2, 3), 0)
+    with pytest.raises(TooSmall):
+        corpus_tree(CorpusSpec("random", 0, 3, sample_size=5, seed=1), 0)
+    with pytest.raises(TooLarge):
+        corpus_tree(CorpusSpec("exhaustive", 12, 12), 0)
 
 
 def test_random_corpus_is_reproducible_and_in_range():
