@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bonding import vertex_bond
 from .errors import ParseError, StablecoreError
@@ -26,6 +26,7 @@ from .harness import (
     ClaimResult,
     CorpusSpec,
     Verdict,
+    check_suite,
     iter_corpus,
     run_suite,
 )
@@ -33,42 +34,44 @@ from .independence import AnalysisReport, analyze
 
 
 def parse_tree_text(text: str) -> Tree:
-    """Parse the edge-list format. Raises ParseError with the offending
-    1-based line number, or NotATree/OutOfRange from tree validation."""
-    n = None
-    edges: list[tuple[int, int]] = []
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    """Parse the edge-list format. Raises ParseError with the offending 1-based
+    line number ahead of any NotATree/OutOfRange from tree validation."""
+    lines = enumerate(text.splitlines(), start=1)
+    lineno = 0
+    for lineno, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise ParseError(f"expected the vertex count, got {line!r}", line=lineno)
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise ParseError(f"vertex count is not an integer: {line!r}", line=lineno)
-            if n < 2:
-                raise ParseError(f"a tree needs at least 2 vertices, got n={n}", line=lineno)
-            continue
-        if len(edges) == n - 1:
-            raise ParseError(f"expected {n - 1} edges, found extra data {line!r}", line=lineno)
-        if len(fields) != 2:
-            raise ParseError(f"expected an edge 'u v', got {line!r}", line=lineno)
+        if len(fields) != 1:
+            raise ParseError(f"expected the vertex count, got {raw.strip()!r}", line=lineno)
         try:
-            edges.append((int(fields[0]), int(fields[1])))
+            n = int(fields[0])
         except ValueError:
-            raise ParseError(f"edge endpoints are not integers: {line!r}", line=lineno)
-    if n is None:
-        raise ParseError("no data lines found", line=last_line or 1)
-    if len(edges) != n - 1:
-        raise ParseError(
-            f"edge count mismatch: expected {n - 1}, found {len(edges)}", line=last_line
-        )
-    return tree_from_edges(n, edges)
+            raise ParseError(f"vertex count is not an integer: {raw.strip()!r}", line=lineno)
+        if n < 2:
+            raise ParseError(f"a tree needs at least 2 vertices, got n={n}", line=lineno)
+        return tree_from_edges(n, _edge_pairs(lines, n - 1, lineno))
+    raise ParseError("no data lines found", line=lineno or 1)
+
+
+def _edge_pairs(lines: Iterator[tuple[int, str]], m: int, last: int) -> Iterator[tuple[int, int]]:
+    """The m edges in the numbered ``lines`` that follow the header line ``last``."""
+    count = 0
+    for last, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        if count == m:
+            raise ParseError(f"expected {m} edges, found extra data {raw.strip()!r}", line=last)
+        if len(fields) != 2:
+            raise ParseError(f"expected an edge 'u v', got {raw.strip()!r}", line=last)
+        try:
+            yield int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(f"edge endpoints are not integers: {raw.strip()!r}", line=last)
+        count += 1
+    if count != m:
+        raise ParseError(f"edge count mismatch: expected {m}, found {count}", line=last)
 
 
 def parse_tree_file(path: str) -> Tree:
@@ -264,17 +267,23 @@ def _parse_claims(raw: str) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    spec = CorpusSpec(
+        mode=args.mode, n_min=args.n_min, n_max=args.n_max,
+        sample_size=args.sample, seed=args.seed if args.mode == "random" else None,
+        dedup_isomorphism=args.dedup_iso,
+    )
     try:
-        claims = _parse_claims(args.claims)
-        spec = CorpusSpec(
-            mode=args.mode, n_min=args.n_min, n_max=args.n_max,
-            sample_size=args.sample, seed=args.seed if args.mode == "random" else None,
-            dedup_isomorphism=args.dedup_iso,
-        )
-        verdicts = run_suite(claims, spec, jobs=args.jobs)
+        claims = check_suite(_parse_claims(args.claims), spec, args.jobs)
     except StablecoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.out != "-":
+        # open the report before the run, so an unwritable path fails fast
+        try:
+            open(args.out, "w", encoding="utf-8").close()
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
+    verdicts = run_suite(claims, spec, jobs=args.jobs)
     if _emit(write_report(verdicts), args.out):
         return 1
     if args.out != "-":

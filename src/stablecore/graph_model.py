@@ -87,16 +87,18 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     input from outside the program.
 
     Raises TooSmall (n < 2), OutOfRange (endpoint not an int in 0..n-1) or
-    NotATree (wrong edge count, self-loop, duplicate edge, disconnected).
-    The edge count is checked before anything is allocated per vertex, so
-    rejecting an input costs time and memory in its length, not in n.
+    NotATree (wrong edge count, self-loop, duplicate edge, disconnected), in
+    that order, once ``edges`` is drained. The count is checked before any
+    per-vertex allocation, so a rejection costs time and memory in the
+    input's length, not in n. One breadth-first sweep sorts and freezes each
+    list; n-1 edges that reach all n vertices hold no duplicate.
     """
     if n < 2:
         raise TooSmall(f"a tree needs at least 2 vertices, got n={n}")
     edges = list(edges)
     if len(edges) != n - 1:
         raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj = [[] for _ in range(n)]
     try:
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
@@ -109,28 +111,26 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
         # a non-int endpoint fails the range check or the list index
         bad = next(x for e in edges for x in e if not isinstance(x, int))
         raise OutOfRange(f"endpoint {bad!r} is not an int") from None
-    for v in range(n):
-        adj[v].sort()
-        prev = -1
-        for w in adj[v]:
-            if w == prev:
-                raise NotATree(f"duplicate edge ({min(v, w)},{max(v, w)})")
-            prev = w
-    # n-1 edges and no duplicates: connected iff acyclic; one BFS settles both.
+    del edges
     seen = bytearray(n)
     seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
+    order = [0]
+    for v in order:
+        a = adj[v]
+        a.sort()
+        adj[v] = a = tuple(a)
+        for w in a:
             if not seen[w]:
                 seen[w] = 1
-                reached += 1
-                stack.append(w)
-    if reached != n:
-        raise NotATree(f"graph is disconnected ({reached} of {n} vertices reachable)")
-    return Tree(n=n, adjacency=tuple([tuple(a) for a in adj]))
+                order.append(w)
+    if len(order) != n:
+        for v in range(n):
+            a = sorted(adj[v])
+            for w, x in zip(a, a[1:]):
+                if w == x:
+                    raise NotATree(f"duplicate edge ({min(v, w)},{max(v, w)})")
+        raise NotATree(f"graph is disconnected ({len(order)} of {n} vertices reachable)")
+    return Tree(n=n, adjacency=tuple(adj))
 
 
 def pendant_vertices(t: Tree) -> frozenset[int]:

@@ -664,6 +664,29 @@ def _chunk_payloads(spec, claims, witness_limit):
         yield spec, indices[start:start + _CHUNK], claims, witness_limit
 
 
+def check_suite(
+    claims: Iterable[str],
+    corpus: CorpusSpec,
+    jobs: int = 1,
+    witness_limit: int | None = DEFAULT_WITNESS_LIMIT,
+) -> list[str]:
+    """The claims of a ``run_suite`` call as a list, after the checks that
+    call makes before it builds any tree; raises what ``run_suite`` would."""
+    claims = list(claims)
+    for c in claims:
+        if c not in _CHECKERS:
+            raise StablecoreError(f"unknown claim {c!r}; valid: {', '.join(CLAIM_IDS)}")
+        if claims.count(c) > 1:
+            raise StablecoreError(f"claim {c} is listed more than once")
+    if jobs < 1:
+        raise StablecoreError(f"jobs must be >= 1, got {jobs}")
+    if witness_limit is not None and witness_limit < 0:
+        raise StablecoreError(f"witness_limit must be >= 0, got {witness_limit}")
+    if claims:
+        validate_corpus(corpus)
+    return claims
+
+
 def run_suite(
     claims: Iterable[str],
     corpus: CorpusSpec,
@@ -675,19 +698,9 @@ def run_suite(
     The result is a pure function of (claims, corpus, witness_limit): chunk
     boundaries, counting and witness ordering do not depend on ``jobs``.
     """
-    claims = list(claims)
-    for c in claims:
-        if c not in _CHECKERS:
-            raise StablecoreError(f"unknown claim {c!r}; valid: {', '.join(CLAIM_IDS)}")
-        if claims.count(c) > 1:
-            raise StablecoreError(f"claim {c} is listed more than once")
-    if jobs < 1:
-        raise StablecoreError(f"jobs must be >= 1, got {jobs}")
-    if witness_limit is not None and witness_limit < 0:
-        raise StablecoreError(f"witness_limit must be >= 0, got {witness_limit}")
+    claims = check_suite(claims, corpus, jobs, witness_limit)
     if not claims:
         return []
-    validate_corpus(corpus)
     totals = {c: [0, 0, 0, []] for c in claims}
     payloads = _chunk_payloads(corpus, claims, witness_limit)
     if jobs > 1:

@@ -1,10 +1,21 @@
 import json
+import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
-from stablecore import NotATree, ParseError, analyze, enumerate_labeled_trees, tree_from_edges
+from stablecore import (
+    NotATree,
+    OutOfRange,
+    ParseError,
+    analyze,
+    enumerate_labeled_trees,
+    random_tree,
+    tree_from_edges,
+)
+from stablecore import cli
 from stablecore.cli import (
     export_dot,
     format_tree_file,
@@ -75,6 +86,126 @@ def test_round_trip_exhaustive():
     for n in range(2, 9):
         for t in enumerate_labeled_trees(n):
             assert parse_tree_text(format_tree_file(t)) == t
+
+
+def _reference_parse(text):
+    """The parser that collects every edge before it validates, kept as the
+    reference for the streamed ``parse_tree_text``."""
+    n = None
+    edges = []
+    last_line = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        last_line = lineno
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if n is None:
+            if len(fields) != 1:
+                raise ParseError(f"expected the vertex count, got {line!r}", line=lineno)
+            try:
+                n = int(fields[0])
+            except ValueError:
+                raise ParseError(f"vertex count is not an integer: {line!r}", line=lineno)
+            if n < 2:
+                raise ParseError(f"a tree needs at least 2 vertices, got n={n}", line=lineno)
+            continue
+        if len(edges) == n - 1:
+            raise ParseError(f"expected {n - 1} edges, found extra data {line!r}", line=lineno)
+        if len(fields) != 2:
+            raise ParseError(f"expected an edge 'u v', got {line!r}", line=lineno)
+        try:
+            edges.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise ParseError(f"edge endpoints are not integers: {line!r}", line=lineno)
+    if n is None:
+        raise ParseError("no data lines found", line=last_line or 1)
+    if len(edges) != n - 1:
+        raise ParseError(
+            f"edge count mismatch: expected {n - 1}, found {len(edges)}", line=last_line
+        )
+    return tree_from_edges(n, edges)
+
+
+_SEPARATORS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c"]
+_NOISE = ["# note", "   # indented note", "#", "\t#x 1 2", "", "  ", "\t \t"]
+_ODD_INTS = ["+1", "1_0", "\u0661", "-1", "0x1", "1.0"]
+
+
+def _random_document(rng):
+    """An edge-list document built from comments, blank lines, odd separators,
+    odd integer spellings, wrong field counts and wrong edge counts."""
+    n = rng.randint(2, 6) if rng.random() < 0.9 else rng.randint(0, 1)
+    if rng.random() < 0.5 and n >= 2:
+        t = random_tree(n, seed=rng.randrange(1 << 30))
+        edges = [[str(u), str(v)] for u, v in t.edges]
+        rng.shuffle(edges)
+    else:
+        edges = [[str(rng.randint(-1, n)), str(rng.randint(-1, n))] for _ in range(max(n - 1, 0))]
+    if rng.random() < 0.2 and edges:
+        edges.pop(rng.randrange(len(edges)))
+    if rng.random() < 0.2:
+        edges.append([str(rng.randint(0, n)), str(rng.randint(0, n))])
+    for fields in edges:
+        if rng.random() < 0.05:
+            fields[rng.randrange(2)] = rng.choice(_ODD_INTS)
+        if rng.random() < 0.03:
+            del fields[1:]
+        if rng.random() < 0.03:
+            fields.append(rng.choice(["# trailing note", "7", "#"]))
+    header = [rng.choice(_ODD_INTS)] if rng.random() < 0.05 else [str(n)]
+    if rng.random() < 0.03:
+        header.append(rng.choice(["# vertices", "3"]))
+    lines = [" ".join(header)] + [rng.choice([" ", "\t", "  "]).join(f) for f in edges]
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(_NOISE))
+    if rng.random() < 0.03:
+        lines = [rng.choice(_NOISE) for _ in range(rng.randint(0, 3))] + lines[:rng.randint(0, 1)]
+    text = ""
+    for line in lines:
+        pad = rng.choice(["", "", " ", "\t"])
+        text += pad + line + pad + rng.choice(_SEPARATORS)
+    return text if rng.random() < 0.9 else text.rstrip("\n")
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, NotATree, OutOfRange) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def test_parse_matches_reference_on_random_documents():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(20_000):
+        text = _random_document(rng)
+        expected = _parse_outcome(_reference_parse, text)
+        assert _parse_outcome(parse_tree_text, text) == expected, text
+        kinds.add(expected[0] if isinstance(expected, tuple) else "tree")
+    assert kinds == {"tree", ParseError, NotATree, OutOfRange}
+
+
+def test_parse_errors_come_before_validation_errors():
+    # line 2 is a self-loop, but the malformed line 3 is reported first
+    with pytest.raises(ParseError) as exc:
+        parse_tree_text("3\n0 0\nx y\n")
+    assert exc.value.line == 3
+
+
+def test_parse_peak_memory_is_at_most_twice_the_tree():
+    # the edge list is the only list of pairs, and it is dropped before the
+    # adjacency tuples are built
+    text = format_tree_file(random_tree(10**5, seed=3))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        t = parse_tree_text(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.n == 10**5
+    assert peak - base <= 2.0 * (kept - base), (peak - base, kept - base)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +329,18 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
         assert err == f"error: cannot write {missing}: No such file or directory\n", argv
     assert main(["gen", "--exhaustive", "--n", "3", "--out", f]) == 1
     assert capsys.readouterr().err == f"error: cannot write {f}: File exists\n"
+
+
+def test_unwritable_verify_output_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite called despite an unwritable report path")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    missing = str(tmp_path / "missing-dir" / "out")
+    argv = ["verify", "--claims", "C7", "--mode", "exhaustive", "--n-min", "2",
+            "--n-max", "9", "--out", missing]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {missing}: No such file or directory\n"
 
 
 def test_usage_error_exits_one(capsys):

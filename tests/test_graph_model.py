@@ -106,6 +106,69 @@ def test_edge_count_checked_before_per_vertex_allocation():
     assert peak < 1 << 20
 
 
+def _reference_tree_from_edges(n, edges):
+    """The validator with a full duplicate scan ahead of the connectivity
+    search, kept as the reference for the one-sweep ``tree_from_edges``."""
+    if n < 2:
+        raise TooSmall(f"a tree needs at least 2 vertices, got n={n}")
+    edges = list(edges)
+    if len(edges) != n - 1:
+        raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
+    adj = [[] for _ in range(n)]
+    try:
+        for u, v in edges:
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+            if u == v:
+                raise NotATree(f"self-loop at vertex {u}")
+            adj[u].append(v)
+            adj[v].append(u)
+    except TypeError:
+        bad = next(x for e in edges for x in e if not isinstance(x, int))
+        raise OutOfRange(f"endpoint {bad!r} is not an int") from None
+    for v in range(n):
+        adj[v].sort()
+        prev = -1
+        for w in adj[v]:
+            if w == prev:
+                raise NotATree(f"duplicate edge ({min(v, w)},{max(v, w)})")
+            prev = w
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = 1
+                reached += 1
+                stack.append(w)
+    if reached != n:
+        raise NotATree(f"graph is disconnected ({reached} of {n} vertices reachable)")
+    return Tree(n=n, adjacency=tuple([tuple(a) for a in adj]))
+
+
+def _outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except (NotATree, OutOfRange, TooSmall) as exc:
+        return type(exc), str(exc)
+
+
+def test_tree_from_edges_matches_reference_on_every_small_edge_list():
+    # every list of n-1 edges: 437,922 lists, trees and every kind of rejection
+    cases = [(n, range(-1, n + 1)) for n in (2, 3, 4)] + [(5, range(5))]
+    total = 0
+    for n, ends in cases:
+        pairs = list(product(ends, repeat=2))
+        for edges in product(pairs, repeat=n - 1):
+            expected = _outcome(_reference_tree_from_edges, n, edges)
+            assert _outcome(tree_from_edges, n, edges) == expected, (n, edges)
+            total += 1
+    assert total == 437_922
+
+
 # ---------------------------------------------------------------------------
 # pendants, bipartition, distance, deletion
 
