@@ -1,9 +1,10 @@
 """stablecore: stability structure of trees and an executable claim harness.
 
 The library computes maximum stable sets, the core (their intersection),
-matchings, pendant interaction and vertex bonding on trees, keeps
-independent brute-force reference paths for all of it, and runs a registry
-of structural claims over exhaustive or seeded-random tree corpora.
+matchings, pendant interaction and vertex bonding on trees, and runs a
+registry of structural claims over exhaustive or seeded-random tree
+corpora. The independent brute-force paths that cross-check all of it are
+test oracles in ``reference``; the other modules import nothing from it.
 """
 
 from .bonding import BondResult, map_set, spider, vertex_bond
@@ -22,14 +23,11 @@ from .errors import (
 )
 from .graph_model import (
     Bipartition,
-    Forest,
-    ForestComponent,
     SplitMix64,
     Tree,
     bfs_depths,
     bipartition,
     canonical_form,
-    delete_vertices,
     derive_seed,
     distance,
     enumerate_labeled_trees,
@@ -48,7 +46,6 @@ from .harness import (
     check_tree,
     corpus_size,
     corpus_tree,
-    fig1_graph,
     fig5_tree,
     iter_corpus,
     run_claim,
@@ -58,23 +55,29 @@ from .harness import (
 )
 from .independence import (
     AnalysisReport,
-    BruteForceResult,
-    SmallGraph,
     alpha,
-    alpha_forest,
     analyze,
-    brute_force_stability,
     core,
-    core_naive,
     count_maximum_stable_sets,
     enumerate_maximal_stable_sets,
-    enumerate_maximum_stable_sets,
     extend_pendant_set,
     has_perfect_matching,
     is_strong_unique_by_definition,
     is_strong_unique_independent,
     mu,
     one_maximum_stable_set,
+)
+from .reference import (
+    BruteForceResult,
+    Forest,
+    ForestComponent,
+    SmallGraph,
+    alpha_forest,
+    brute_force_stability,
+    core_naive,
+    delete_vertices,
+    enumerate_maximum_stable_sets,
+    fig1_graph,
     small_graph_from_edges,
     small_graph_from_tree,
 )

@@ -3,7 +3,7 @@
 Vertices are 0-based contiguous integers. A ``Tree`` always has n >= 2,
 exactly n-1 edges, and is connected. It stores only its adjacency: its
 ``edges`` cost O(n) per access, so hot paths read the adjacency.
-``Forest`` (produced by vertex deletion) may contain singleton components.
+Vertex deletion into forests is a test oracle and lives in ``reference``.
 Trees come from two constructors: ``tree_from_edges`` fully validates an
 edge list from outside, and ``prufer_decode`` builds the tree of a checked
 Prufer code directly, since every such code is a tree. Labeled trees are
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress, product
 from typing import Iterable, Iterator
 
-from .errors import EmptyResult, NotATree, OutOfRange, TooLarge, TooSmall
+from .errors import NotATree, OutOfRange, TooLarge, TooSmall
 
 DEFAULT_ENUMERATION_CEILING = 9
 
@@ -54,27 +54,6 @@ class Tree:
 
 
 @dataclass(frozen=True)
-class ForestComponent:
-    """One connected piece left after deletion, over the original labels.
-
-    ``tree`` is the component relabeled to 0..k-1 following the sorted
-    ``vertices`` tuple; it is None for singletons (a Tree needs n >= 2).
-    """
-
-    vertices: tuple[int, ...]
-    tree: Tree | None
-
-
-@dataclass(frozen=True)
-class Forest:
-    components: tuple[ForestComponent, ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(c.vertices) for c in self.components)
-
-
-@dataclass(frozen=True)
 class Bipartition:
     """The unique 2-coloring of a tree; side ``a`` is the one holding vertex 0."""
 
@@ -86,12 +65,13 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     """Validate and build a Tree from an edge list: the constructor for
     input from outside the program.
 
-    Raises TooSmall (n < 2), OutOfRange (endpoint not an int in 0..n-1) or
-    NotATree (wrong edge count, self-loop, duplicate edge, disconnected), in
-    that order, once ``edges`` is drained. The count is checked before any
-    per-vertex allocation, so a rejection costs time and memory in the
-    input's length, not in n. One breadth-first sweep sorts and freezes each
-    list; n-1 edges that reach all n vertices hold no duplicate.
+    Raises TooSmall (n < 2), OutOfRange (endpoint not an exact int, a bool
+    included, or outside 0..n-1) or NotATree (wrong edge count, self-loop,
+    duplicate edge, disconnected), in that order, once ``edges`` is drained.
+    The count is checked before any per-vertex allocation, so a rejection
+    costs time and memory in the input's length, not in n. One breadth-first
+    sweep sorts and freezes each list; n-1 edges that reach all n vertices
+    hold no duplicate.
     """
     if n < 2:
         raise TooSmall(f"a tree needs at least 2 vertices, got n={n}")
@@ -99,18 +79,17 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     if len(edges) != n - 1:
         raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
     adj = [[] for _ in range(n)]
-    try:
-        for u, v in edges:
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise NotATree(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
-    except TypeError:
-        # a non-int endpoint fails the range check or the list index
-        bad = next(x for e in edges for x in e if not isinstance(x, int))
-        raise OutOfRange(f"endpoint {bad!r} is not an int") from None
+    for u, v in edges:
+        # exact ints only: a bool passes the range check and the list index,
+        # but its Tree would serialize to text that no parser reads back
+        if type(u) is not int or type(v) is not int:
+            raise OutOfRange(f"endpoint {v if type(u) is int else u!r} is not an int")
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise NotATree(f"self-loop at vertex {u}")
+        adj[u].append(v)
+        adj[v].append(u)
     del edges
     seen = bytearray(n)
     seen[0] = 1
@@ -178,46 +157,6 @@ def distance(t: Tree, u: int, v: int) -> int:
     if not 0 <= u < t.n or not 0 <= v < t.n:
         raise OutOfRange(f"vertex pair ({u},{v}) outside 0..{t.n - 1}")
     return bfs_depths(t, u)[v]
-
-
-def delete_vertices(t: Tree, w: Iterable[int]) -> Forest:
-    """Induced subgraph on V - w, decomposed into components over original labels."""
-    removed = bytearray(t.n)
-    for v in w:
-        if not 0 <= v < t.n:
-            raise OutOfRange(f"vertex {v} outside 0..{t.n - 1}")
-        removed[v] = 1
-    survivors = t.n - sum(removed)
-    if survivors == 0:
-        raise EmptyResult("deleting every vertex leaves nothing")
-    adjacency = t.adjacency
-    seen = bytearray(t.n)
-    components = []
-    for s in range(t.n):
-        if removed[s] or seen[s]:
-            continue
-        seen[s] = 1
-        comp = [s]
-        i = 0
-        while i < len(comp):
-            v = comp[i]
-            i += 1
-            for x in adjacency[v]:
-                if not removed[x] and not seen[x]:
-                    seen[x] = 1
-                    comp.append(x)
-        comp.sort()
-        if len(comp) == 1:
-            components.append(ForestComponent(vertices=(comp[0],), tree=None))
-            continue
-        index = {v: i for i, v in enumerate(comp)}
-        sub_edges = [
-            (index[v], index[x]) for v in comp for x in adjacency[v] if not removed[x] and v < x
-        ]
-        components.append(
-            ForestComponent(vertices=tuple(comp), tree=tree_from_edges(len(comp), sub_edges))
-        )
-    return Forest(components=tuple(components))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ Registry:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from multiprocessing import get_context
@@ -66,12 +67,10 @@ from .graph_model import (
     tree_from_edges,
 )
 from .independence import (
-    SmallGraph,
     _extend_pendants,
     _Rooted,
     _strong_unique_of,
     enumerate_maximal_stable_sets,
-    small_graph_from_edges,
 )
 
 CLAIM_IDS = (
@@ -145,15 +144,7 @@ def tree_from_serialization(s: str) -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# Reconstructed figure fixtures
-
-
-def fig1_graph() -> SmallGraph:
-    """Seven-vertex non-tree whose pendant vertex is avoided by some
-    maximum stable set (so C3 does not extend beyond trees)."""
-    return small_graph_from_edges(
-        7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (1, 5), (2, 6), (5, 6)]
-    )
+# Reconstructed figure fixture
 
 
 def fig5_tree() -> Tree:
@@ -660,8 +651,14 @@ def _chunk_payloads(spec, claims, witness_limit):
         indices = [i for i, _ in _kept(spec)]
     else:
         indices = range(corpus_size(spec))
-    for start in range(0, len(indices), _CHUNK):
-        yield spec, indices[start:start + _CHUNK], claims, witness_limit
+    return [(spec, indices[start:start + _CHUNK], claims, witness_limit)
+            for start in range(0, len(indices), _CHUNK)]
+
+
+def _pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
+    """Workers for ``chunks`` payloads: ``jobs``, but no more than there are
+    chunks to hand out or CPUs (``os.cpu_count()``, None when unknown)."""
+    return min(jobs, chunks, cpus or 1)
 
 
 def check_suite(
@@ -696,15 +693,17 @@ def run_suite(
     """Check each claim over the whole corpus (one shared materialization).
 
     The result is a pure function of (claims, corpus, witness_limit): chunk
-    boundaries, counting and witness ordering do not depend on ``jobs``.
+    boundaries, counting and witness ordering do not depend on ``jobs``. At
+    most min(jobs, chunks, CPUs) workers run; with one, no pool starts.
     """
     claims = check_suite(claims, corpus, jobs, witness_limit)
     if not claims:
         return []
     totals = {c: [0, 0, 0, []] for c in claims}
     payloads = _chunk_payloads(corpus, claims, witness_limit)
-    if jobs > 1:
-        with get_context("fork").Pool(jobs) as pool:
+    workers = _pool_size(jobs, len(payloads), os.cpu_count())
+    if workers > 1:
+        with get_context("fork").Pool(workers) as pool:
             partials = pool.imap(_process_chunk, payloads)
             _merge(totals, partials, claims)
     else:

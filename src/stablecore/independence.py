@@ -8,27 +8,20 @@ together give the stability number of T - v for every v in one O(n) sweep.
 A vertex lies in the core exactly when deleting it drops the stability
 number.
 
-Independent reference paths are kept alongside: a quadratic per-deletion
-recomputation, an exhaustive bitmask oracle for graphs that need not be
-trees, and explicit enumeration of the maximum stable sets themselves.
+The one scan left here is Bron-Kerbosch over the maximal stable sets, which
+the measurement E1 runs on small trees. The independent reference paths
+(the quadratic core, the subset-scan oracle, explicit enumeration of the
+maximum stable sets) live in ``reference``, which nothing here imports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable
 
-from .errors import LimitExceeded, NotPendant, NotStable, StablecoreError, TooLarge
-from .graph_model import (
-    Bipartition,
-    Forest,
-    Tree,
-    _bfs_order,
-    _parity_sides,
-    bipartition,
-    pendant_vertices,
-)
+from .errors import LimitExceeded, NotPendant, NotStable, TooLarge
+from .graph_model import Bipartition, Tree, _bfs_order, _parity_sides, bipartition, pendant_vertices
 
 BRUTE_FORCE_CEILING = 30
 
@@ -164,171 +157,9 @@ def core(t: Tree) -> frozenset[int]:
     return _Rooted(t).core()
 
 
-def _alpha_without(t: Tree, skip: int) -> int:
-    """Stability number of T - skip, recomputed from scratch (no shared state
-    with the rerooting path; this is the quadratic reference's inner step)."""
-    n = t.n
-    adjacency = t.adjacency
-    parent = [-2] * n
-    parent[skip] = skip
-    order = []
-    for s in range(n):
-        if parent[s] != -2:
-            continue
-        parent[s] = -1
-        order.append(s)
-        i = len(order) - 1
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for w in adjacency[v]:
-                if parent[w] == -2:
-                    parent[w] = v
-                    order.append(w)
-    sum_ex = [0] * n
-    sum_best = [0] * n
-    total = 0
-    for idx in range(len(order) - 1, -1, -1):
-        v = order[idx]
-        di = 1 + sum_ex[v]
-        de = sum_best[v]
-        p = parent[v]
-        if p < 0:
-            total += di if di > de else de
-        else:
-            sum_ex[p] += de
-            sum_best[p] += di if di > de else de
-    return total
-
-
-def core_naive(t: Tree) -> frozenset[int]:
-    """Quadratic reference for ``core``: n independent vertex deletions,
-    summing component stability numbers."""
-    target = alpha(t) - 1
-    return frozenset(v for v in range(t.n) if _alpha_without(t, v) == target)
-
-
-def alpha_forest(f: Forest) -> int:
-    """Stability number of a forest: components add up; singletons count 1."""
-    return sum(1 if c.tree is None else alpha(c.tree) for c in f.components)
-
-
 def one_maximum_stable_set(t: Tree) -> frozenset[int]:
     """Deterministic representative of the maximum stable sets."""
     return _Rooted(t).one_set()
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracle on small, possibly non-tree graphs
-
-
-@dataclass(frozen=True)
-class SmallGraph:
-    """Simple graph on at most 30 vertices, adjacency kept as bitmasks."""
-
-    n: int
-    adjacency_masks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    alpha: int
-    count: int
-    core: frozenset[int]
-    one_witness: frozenset[int]
-
-
-def small_graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SmallGraph:
-    if n > BRUTE_FORCE_CEILING:
-        raise TooLarge(f"n={n} exceeds the brute-force ceiling {BRUTE_FORCE_CEILING}")
-    if n < 1:
-        raise StablecoreError("need at least one vertex")
-    masks = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise StablecoreError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise StablecoreError(f"self-loop at vertex {u}")
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return SmallGraph(n=n, adjacency_masks=tuple(masks))
-
-
-def small_graph_from_tree(t: Tree) -> SmallGraph:
-    return small_graph_from_edges(t.n, t.edges)
-
-
-def stable_masks(g: SmallGraph) -> list[int]:
-    """All stable subsets of g as bitmasks, in increasing numeric order.
-
-    Uses the subset recurrence: a set is stable iff the set minus its lowest
-    vertex is stable and that vertex has no neighbor among the rest.
-    Memory is 2^n bytes, so this path is capped well below the ceiling.
-    """
-    n = g.n
-    if n > 24:
-        raise TooLarge(f"stable-subset table needs 2^{n} bytes; cap is n=24")
-    masks = g.adjacency_masks
-    size = 1 << n
-    stab = bytearray(size)
-    stab[0] = 1
-    out = [0]
-    for m in range(1, size):
-        low = m & -m
-        r = m ^ low
-        if stab[r] and not (masks[low.bit_length() - 1] & r):
-            stab[m] = 1
-            out.append(m)
-    return out
-
-
-def _stable_masks_direct(g: SmallGraph) -> Iterator[int]:
-    """All stable subsets of g, each tested on its own: no 2^n table, so it
-    serves sizes above ``stable_masks``' cap (slow, but within contract)."""
-    masks = g.adjacency_masks
-    for m in range(1 << g.n):
-        probe = m
-        while probe:
-            low = probe & -probe
-            if masks[low.bit_length() - 1] & m:
-                break
-            probe ^= low
-        else:
-            yield m
-
-
-def brute_force_stability(g: SmallGraph) -> BruteForceResult:
-    """Exhaustive subset scan: stability number, number of maximum stable
-    sets, their intersection, and the numerically first witness."""
-    n = g.n
-    if n > BRUTE_FORCE_CEILING:
-        raise TooLarge(f"n={n} exceeds the brute-force ceiling {BRUTE_FORCE_CEILING}")
-    best = -1  # both scans yield the empty set first, which sets every total
-    for m in stable_masks(g) if n <= 24 else _stable_masks_direct(g):
-        c = m.bit_count()
-        if c > best:
-            best = c
-            count = 1
-            inter = m
-            witness = m
-        elif c == best:
-            count += 1
-            inter &= m
-    return BruteForceResult(
-        alpha=best,
-        count=count,
-        core=_mask_to_set(inter),
-        one_witness=_mask_to_set(witness),
-    )
-
-
-def _mask_to_set(m: int) -> frozenset[int]:
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,60 +171,6 @@ def count_maximum_stable_sets(t: Tree) -> int:
     return _Rooted(t).count()
 
 
-def enumerate_maximum_stable_sets(t: Tree, limit: int) -> list[frozenset[int]]:
-    """All maximum stable sets, sorted by their sorted member tuples.
-
-    Counts first and raises LimitExceeded (carrying the count) before
-    materializing anything when more than ``limit`` sets exist. A top-down
-    pass marks the (vertex, in/out) states that some maximum stable set
-    uses; a bottom-up pass then builds each marked state's sets of the
-    vertex's subtree. Unmarked states are never built: a vertex that every
-    maximum stable set contains can have an out-state with 2^k sets.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    view = _Rooted(t)
-    count = view.count()
-    if count > limit:
-        raise LimitExceeded(f"{count} maximum stable sets exceed limit {limit}", count=count)
-    order, down_in, down_ex = view.order, view.down_in, view.down_ex
-    n = t.n
-    # per position, bit 1: in, bit 2: out; optimal[i] holds the states that
-    # are optimal for i's subtree, used[i] those that some maximum stable set
-    # takes
-    optimal = bytearray((di >= de) | (de >= di) << 1 for di, de in zip(down_in, down_ex))
-    used = bytearray(n)
-    used[0] = optimal[0]
-    children: list[list[int]] = [[] for _ in range(n)]
-    i = 1
-    for p in view.parent_at[1:]:
-        children[p].append(i)
-        if used[p] & 1:
-            used[i] |= 2
-        if used[p] & 2:
-            used[i] |= optimal[i]
-        i += 1
-    sets_in: list[list[frozenset[int]] | None] = [None] * n
-    sets_ex: list[list[frozenset[int]] | None] = [None] * n
-
-    def optimal_sets(i: int) -> list[frozenset[int]]:
-        return (sets_in[i] if optimal[i] & 1 else []) + (sets_ex[i] if optimal[i] & 2 else [])
-
-    for i in range(n - 1, -1, -1):
-        kids = children[i]
-        if used[i] & 1:
-            head = frozenset((order[i],))
-            sets_in[i] = [head.union(*combo) for combo in product(*(sets_ex[c] for c in kids))]
-        if used[i] & 2:
-            parts = [optimal_sets(c) for c in kids]
-            sets_ex[i] = [frozenset().union(*combo) for combo in product(*parts)]
-        for c in kids:
-            sets_in[c] = sets_ex[c] = None
-    results = optimal_sets(0)
-    results.sort(key=lambda s: tuple(sorted(s)))
-    return results
-
-
 def enumerate_maximal_stable_sets(t: Tree, limit: int) -> list[frozenset[int]]:
     """All inclusion-maximal stable sets (Bron-Kerbosch with pivoting on the
     complement graph), sorted by their sorted member tuples."""
@@ -403,7 +180,7 @@ def enumerate_maximal_stable_sets(t: Tree, limit: int) -> list[frozenset[int]]:
     if n > BRUTE_FORCE_CEILING:
         raise TooLarge(f"n={n} exceeds the brute-force ceiling {BRUTE_FORCE_CEILING}")
     full = (1 << n) - 1
-    adj = small_graph_from_tree(t).adjacency_masks
+    adj = [sum(1 << w for w in a) for a in t.adjacency]
     nonadj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     found: list[int] = []
 
@@ -438,6 +215,15 @@ def enumerate_maximal_stable_sets(t: Tree, limit: int) -> list[frozenset[int]]:
             f"{len(found)} maximal stable sets exceed limit {limit}", count=len(found)
         )
     return sorted((_mask_to_set(m) for m in found), key=lambda s: tuple(sorted(s)))
+
+
+def _mask_to_set(m: int) -> frozenset[int]:
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_invalid_inputs(n, edges, err):
         tree_from_edges(n, edges)
 
 
-@pytest.mark.parametrize("bad", [1.0, "1", None])
+@pytest.mark.parametrize("bad", [1.0, "1", None, True, False])
 def test_non_int_endpoint_is_named(bad):
     with pytest.raises(OutOfRange, match=r"^endpoint .* is not an int$"):
         tree_from_edges(3, [(0, 1), (bad, 2)])

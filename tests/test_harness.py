@@ -1,5 +1,10 @@
+import ast
+import importlib
+import inspect
+
 import pytest
 
+import stablecore
 from stablecore import (
     CLAIM_IDS,
     Bipartition,
@@ -51,9 +56,11 @@ from stablecore.harness import (
     _check_c9,
     _factor_cores,
     _pendant_dp_set,
+    _pool_size,
     _TreeFacts,
 )
-from stablecore.independence import _mask_to_set, _Rooted, stable_masks
+from stablecore.independence import _mask_to_set, _Rooted
+from stablecore.reference import stable_masks
 
 
 def path(n):
@@ -183,6 +190,47 @@ def test_only_e1_scans_and_harness_binds_no_brute_force_path():
         "core_naive", "_stable_masks_direct",
     ):
         assert not hasattr(harness, name), name
+    # the instrument imports none of its oracles, by any import form
+    for name in ("graph_model", "independence", "harness", "cli", "bonding", "errors"):
+        module = importlib.import_module(f"stablecore.{name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            else:
+                continue
+            assert not any("reference" in m.split(".") for m in imported), (name, node.lineno)
+        for attr, value in vars(module).items():
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ != "stablecore.reference", (name, attr)
+
+
+# The public top-level names of stablecore; moving code between modules
+# must not break an import of any of them.
+PUBLIC_NAMES = {
+    "AnalysisReport", "Bipartition", "BondResult", "BruteForceResult", "CLAIM_IDS",
+    "ClaimResult", "CorpusSpec", "EmptyResult", "Forest", "ForestComponent",
+    "LimitExceeded", "NotATree", "NotPendant", "NotStable", "OutOfRange", "ParseError",
+    "ScaleExceeded", "SmallGraph", "SplitMix64", "StablecoreError", "TooLarge",
+    "TooSmall", "Tree", "Verdict", "alpha", "alpha_forest", "analyze", "bfs_depths",
+    "bipartition", "brute_force_stability", "canonical_form", "check_tree", "core",
+    "core_naive", "corpus_size", "corpus_tree", "count_maximum_stable_sets",
+    "delete_vertices", "derive_seed", "distance", "enumerate_labeled_trees",
+    "enumerate_maximal_stable_sets", "enumerate_maximum_stable_sets",
+    "extend_pendant_set", "fig1_graph", "fig5_tree", "has_perfect_matching",
+    "is_strong_unique_by_definition", "is_strong_unique_independent", "iter_corpus",
+    "labeled_tree_count", "map_set", "mu", "one_maximum_stable_set", "pendant_vertices",
+    "prufer_decode", "prufer_encode", "random_tree", "run_claim", "run_suite",
+    "serialize_tree", "small_graph_from_edges", "small_graph_from_tree", "spider",
+    "tree_from_edges", "tree_from_serialization", "vertex_bond",
+}
+
+
+def test_public_top_level_names_still_resolve():
+    assert len(PUBLIC_NAMES) == 67
+    missing = [name for name in sorted(PUBLIC_NAMES) if not hasattr(stablecore, name)]
+    assert missing == []
 
 
 def test_run_suite_rejects_bad_jobs_and_witness_limit():
@@ -191,6 +239,43 @@ def test_run_suite_rejects_bad_jobs_and_witness_limit():
     with pytest.raises(StablecoreError, match="witness_limit"):
         run_suite(["C7"], CORPUS_26, witness_limit=-1)
     assert run_claim("C12", CORPUS_26, witness_limit=0).witnesses == ()
+
+
+def test_pool_size_is_clamped_to_chunks_and_cpus():
+    # a pure function: large values start no process
+    assert _pool_size(5000, 9, 2) == 2
+    assert _pool_size(2, 9, 2) == 2
+    assert _pool_size(10**9, 10**6, 10**4) == 10**4
+    assert _pool_size(10**9, 3, 10**4) == 3
+    assert _pool_size(8, 1, 64) == 1  # one chunk: no pool
+    assert _pool_size(10**9, 10**6, None) == 1  # CPU count unknown
+    assert _pool_size(1, 10**6, 10**4) == 1
+
+
+def test_run_suite_starts_no_pool_for_one_chunk(monkeypatch):
+    def no_pool(method):
+        raise AssertionError("a one-chunk corpus started a pool")
+
+    expected = run_suite(["C7", "C12"], CORPUS_26, jobs=1)
+    monkeypatch.setattr(harness, "get_context", no_pool)
+    assert run_suite(["C7", "C12"], CORPUS_26, jobs=5000) == expected
+
+
+def test_run_suite_pool_never_exceeds_cpu_count(monkeypatch):
+    sizes = []
+    real = harness.get_context
+
+    class Spy:
+        def Pool(self, processes):
+            sizes.append(processes)
+            return real("fork").Pool(processes)
+
+    corpus = CorpusSpec(mode="exhaustive", n_min=2, n_max=7)  # 9 chunks
+    expected = run_suite(["C7"], corpus, jobs=1)
+    monkeypatch.setattr(harness, "get_context", lambda method: Spy())
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert run_suite(["C7"], corpus, jobs=5000) == expected
+    assert sizes == [2]
 
 
 def test_run_suite_rejects_repeated_claim():

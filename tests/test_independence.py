@@ -42,7 +42,8 @@ from stablecore import (
     tree_from_edges,
 )
 from stablecore.graph_model import _centers
-from stablecore.harness import fig1_graph, fig5_tree
+from stablecore.harness import fig5_tree
+from stablecore.reference import fig1_graph
 from stablecore.independence import _Rooted
 
 
