@@ -34,12 +34,15 @@ def vertex_bond(t1: Tree, v1: int, t2: Tree, v2: int) -> BondResult:
 
     The first factor keeps its labels (bond vertex included); the second
     factor's remaining vertices follow in label order, so the result has
-    n1 + n2 - 1 vertices and is again a tree.
+    n1 + n2 - 1 vertices and is again a tree. Raises OutOfRange, naming
+    the argument, for a bond vertex that is not an int of its factor's
+    range (a bool or a float included).
     """
-    if not 0 <= v1 < t1.n:
-        raise OutOfRange(f"vertex {v1} outside 0..{t1.n - 1}")
-    if not 0 <= v2 < t2.n:
-        raise OutOfRange(f"vertex {v2} outside 0..{t2.n - 1}")
+    for name, v, t in (("v1", v1, t1), ("v2", v2, t2)):
+        if type(v) is not int:
+            raise OutOfRange(f"{name}={v!r} is not an int")
+        if not 0 <= v < t.n:
+            raise OutOfRange(f"{name}={v} outside 0..{t.n - 1}")
     n = t1.n + t2.n - 1
     left_map = tuple(range(t1.n))
     right = []

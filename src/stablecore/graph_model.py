@@ -301,11 +301,10 @@ def canonical_form(t: Tree) -> str:
     return min(_rooted_encoding(t, c) for c in _centers(t))
 
 
-def _bfs_order(t: Tree, root: int, skip: tuple[int, ...] = ()) -> tuple[list[int], list[int]]:
-    """Breadth-first order of the tree rooted at ``root``, entering no
-    neighbor of the root listed in ``skip``, as two lists over positions:
-    ``order[i]`` is the vertex at position i and ``parent_at[i]`` the
-    position of its parent, -1 at the root (position 0).
+def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the tree rooted at ``root``, as two lists over
+    positions: ``order[i]`` is the vertex at position i and ``parent_at[i]``
+    the position of its parent, -1 at the root (position 0).
 
     A parent comes before its children, and ``parent_at`` never decreases
     along the order. So a pass that walks the positions forward (top-down)
@@ -316,8 +315,6 @@ def _bfs_order(t: Tree, root: int, skip: tuple[int, ...] = ()) -> tuple[list[int
     adjacency = t.adjacency
     seen = bytearray(t.n)
     seen[root] = 1
-    for w in skip:
-        seen[w] = 1
     order = [root]
     parent_at = [-1]
     i = 0

@@ -29,8 +29,9 @@ Registry:
   C9  bonding laws at every internal vertex split T = T1 * v * T2: v is in
       core(T) iff it is in both factor cores; and then the stability numbers
       add up (minus one) and core(T) is the union of the factor cores; the
-      rerooting DP decides each split in O(1), building factor cores only
-      where v is in core(T)
+      rerooting DP gives each split's factor values in O(1), and where v is
+      in both factor cores their union is the core that a second, top-down
+      core pass finds once per tree, so no factor is built
   C10 no perfect matching => at least two pendants in the core
   C11 no perfect matching and a core vertex of degree >= 2k (k >= 2)
       => at least 2k pendants in the core
@@ -46,9 +47,11 @@ Registry:
 from __future__ import annotations
 
 import os
+from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from multiprocessing import get_context
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import OutOfRange, ParseError, ScaleExceeded, StablecoreError, TooLarge, TooSmall
@@ -390,18 +393,19 @@ def _bonding_splits(t: Tree, view: _Rooted):
                    rest_in if rest_in > rest_ex else rest_ex, rest_in > rest_ex)
 
 
-def _factor_cores(t: Tree, v: int, u: int) -> tuple[frozenset[int], frozenset[int]]:
-    """core(T1) and core(T2) of the split at v by neighbor u, over T's labels."""
-    others = tuple(w for w in t.adjacency[v] if w != u)
-    return _Rooted(t, v, others).core(), _Rooted(t, v, (u,)).core()
-
-
 def _check_c9(facts: _TreeFacts):
     t = facts.tree
     if t.n < 3:  # the single edge has no internal vertex
         return NOT_APPLICABLE, None
     core_t = facts.core
     alpha_t = facts.alpha
+    # Where v is in both factor cores, every maximum stable set of either
+    # factor is v plus, in each of v's branches, a best set of the branch
+    # with its root left out. So the union of the factor cores is v plus the
+    # intersection of those sets per branch: the same at every such split,
+    # and the core of T, which the top-down pass finds without the upward
+    # pass behind facts.core.
+    factor_union = None
     for v, u, alpha1, in_core1, alpha2, in_core2 in _bonding_splits(t, facts.rooted):
         bonded_in_core = v in core_t
         factors_in_core = in_core1 and in_core2
@@ -417,7 +421,8 @@ def _check_c9(facts: _TreeFacts):
                 "vertex": v, "neighbor": u, "law": "stability numbers add up",
                 "alpha": alpha_t, "alpha_factors": [alpha1, alpha2],
             }
-        factor_union = frozenset.union(*_factor_cores(t, v, u))
+        if factor_union is None:
+            factor_union = facts.rooted.top_down_core()
         if factor_union != core_t:
             return REFUTED, {
                 "vertex": v, "neighbor": u, "law": "core is union of factor cores",
@@ -481,9 +486,16 @@ def _check_c13(facts: _TreeFacts):
 
 
 def _check_e1(facts: _TreeFacts):
+    # E1 holds on every tree and its witness is the whole measurement, so the
+    # witness is returned unbuilt, for the caller to build if it keeps it
     t = facts.tree
     if t.n > SCAN_CEILING:
         raise ScaleExceeded(f"E1 needs an exhaustive scan; n={t.n} > ceiling {SCAN_CEILING}")
+    return HOLDS, partial(_e1_measurement, facts)
+
+
+def _e1_measurement(facts: _TreeFacts) -> dict:
+    t = facts.tree
     sides = facts.bip
     perfect = 2 * facts.alpha == t.n
     ks = []
@@ -512,7 +524,7 @@ def _check_e1(facts: _TreeFacts):
                 "intersection": None,
                 "pendants_in_intersection": None,
             })
-    return HOLDS, {
+    return {
         "perfect_matching": perfect,
         "beyond_question": perfect,
         "measurements": measurements,
@@ -533,6 +545,8 @@ def check_tree(claim: str, t: Tree) -> ClaimResult:
     if claim not in _CHECKERS:
         raise StablecoreError(f"unknown claim {claim!r}; valid: {', '.join(CLAIM_IDS)}")
     status, witness = _CHECKERS[claim](_TreeFacts(t))
+    if callable(witness):
+        witness = witness()
     return ClaimResult(claim=claim, tree=serialize_tree(t), status=status, witness=witness)
 
 
@@ -609,16 +623,18 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[Tree]:
 # Runner
 
 
-def _canonical_key(result: ClaimResult) -> tuple[int, str]:
-    return int(result.tree.partition(":")[0]), result.tree
-
-
 def _process_chunk(payload):
+    """Counts and witnesses of one chunk. Each claim keeps its witnesses as
+    (key, result) pairs sorted by the canonical key (n, serialization), and
+    with a limit only the first ``witness_limit``. A tree's key is computed
+    once, when a claim first gives it a witness; an unbuilt witness is
+    built only if it is kept."""
     spec, indices, claims, witness_limit = payload
     stats = {c: [0, 0, 0, []] for c in claims}
     for i in indices:
         t = corpus_tree(spec, i)
         facts = _TreeFacts(t)
+        key = None
         for c in claims:
             entry = stats[c]
             try:
@@ -632,15 +648,20 @@ def _process_chunk(payload):
                 entry[1] += 1
             else:
                 entry[2] += 1
-            if witness is not None:
-                entry[3].append(ClaimResult(
-                    claim=c, tree=serialize_tree(t), status=status, witness=witness
-                ))
-    for c in claims:
-        wl = stats[c][3]
-        wl.sort(key=_canonical_key)
-        if witness_limit is not None:
-            del wl[witness_limit:]
+            if witness is None:
+                continue
+            if key is None:
+                key = (t.n, serialize_tree(t))
+            kept = entry[3]
+            if len(kept) == witness_limit:
+                # a sort is stable, so a tie with the last kept one stays out
+                if not kept or key >= kept[-1][0]:
+                    continue
+                kept.pop()
+            if callable(witness):
+                witness = witness()
+            result = ClaimResult(claim=c, tree=key[1], status=status, witness=witness)
+            insort(kept, (key, result), key=itemgetter(0))
     return stats
 
 
@@ -711,7 +732,7 @@ def run_suite(
     verdicts = []
     for c in claims:
         held, refuted, skipped, witnessed = totals[c]
-        witnessed.sort(key=_canonical_key)
+        witnessed.sort(key=itemgetter(0))
         if witness_limit is not None:
             del witnessed[witness_limit:]
         verdicts.append(
@@ -722,7 +743,7 @@ def run_suite(
                 held=held,
                 refuted=refuted,
                 skipped=skipped,
-                witnesses=tuple(witnessed),
+                witnesses=tuple(result for _, result in witnessed),
             )
         )
     return verdicts

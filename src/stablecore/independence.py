@@ -25,6 +25,9 @@ from .graph_model import Bipartition, Tree, _bfs_order, _parity_sides, bipartiti
 
 BRUTE_FORCE_CEILING = 30
 
+# top_down_core's states as compress selectors: in every set (2) or not
+_IN_EVERY = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x01")
+
 
 class _Rooted:
     """A tree rooted at vertex ``root`` with its downward include/exclude DP,
@@ -37,15 +40,13 @@ class _Rooted:
     the subtree of ``order[i]`` with it forced in/out. Parents come before
     children and ``parent_at`` never decreases, so each pass below is one
     sequential sweep over its tables; labels come back only in the sets it
-    returns, selected from ``order``. With root neighbors in ``skip``, the
-    view covers only the root's other branches and its tables are sized to
-    that part.
+    returns, selected from ``order``.
     """
 
     __slots__ = ("order", "parent_at", "down_in", "down_ex")
 
-    def __init__(self, t: Tree, root: int = 0, skip: tuple[int, ...] = ()):
-        order, parent_at = _bfs_order(t, root, skip)
+    def __init__(self, t: Tree, root: int = 0):
+        order, parent_at = _bfs_order(t, root)
         m = len(order)
         down_in = [1] * m
         down_ex = [0] * m
@@ -95,6 +96,28 @@ class _Rooted:
             de + (ui if ui > ue else ue) == target
             for de, ui, ue in zip(self.down_ex, up_in, up_ex)
         ]))
+
+    def top_down_core(self) -> frozenset[int]:
+        """The core again, independently of the upward pass: a top-down pass
+        puts each vertex in every (2), some (1) or no (0) maximum stable set.
+        Where the parent is in none, the subtree is optimal on its own, so
+        the root and such a child follow their own down_in against down_ex;
+        a child of a vertex in every set is in none; a child of a vertex in
+        some is in none if down_in < down_ex, else in some."""
+        down_in, down_ex = self.down_in, self.down_ex
+        state = bytearray(len(down_in))
+        di, de = down_in[0], down_ex[0]
+        state[0] = 2 if di > de else di == de
+        i = 1
+        for p in self.parent_at[1:]:
+            sp = state[p]
+            if sp == 0:
+                di, de = down_in[i], down_ex[i]
+                state[i] = 2 if di > de else di == de
+            elif sp == 1:
+                state[i] = down_in[i] >= down_ex[i]
+            i += 1
+        return frozenset(compress(self.order, state.translate(_IN_EVERY)))
 
     def count(self) -> int:
         """Number of maximum stable sets: the DP multiplicities of each

@@ -149,7 +149,7 @@ def test_criterion_2_claim_suite_exhaustive(suite_verdicts):
 
 
 def test_criterion_3_claim_suite_randomized():
-    claims = ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C10", "C11", "C12"]
+    claims = ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12"]
     failures = []
     checked = 0
     for n in (20, 50, 100, 200):

@@ -54,10 +54,19 @@ def test_bond_maps_and_edge_bijection():
 
 
 def test_bond_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="v1=2 outside"):
         vertex_bond(path(2), 2, path(2), 0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="v2=-1 outside"):
         vertex_bond(path(2), 0, path(2), -1)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_bond_vertex_must_be_an_exact_int(bad):
+    t = path(3)
+    with pytest.raises(OutOfRange, match=f"v1={bad!r} is not an int"):
+        vertex_bond(t, bad, t, 0)
+    with pytest.raises(OutOfRange, match=f"v2={bad!r} is not an int"):
+        vertex_bond(t, 0, t, bad)
 
 
 def test_spider_family():

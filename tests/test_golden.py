@@ -37,7 +37,10 @@ def test_analysis_report_digests():
      "ede200d06b354a927a2208194ecdcb9bfb3ab203cd49d25e4e12238a8f93f31b"),
     (["--mode", "random", "--n-min", "10", "--n-max", "20", "--sample", "500", "--seed", "3"],
      "20002ceb8ae96416e68ac983255d05a0951c8d047453cd8d9eba985994db7766"),
-], ids=["exhaustive-2-6", "random-10-20"])
+    # nine chunks over two workers: pins each chunk's witness selection and the merge
+    (["--mode", "exhaustive", "--n-min", "2", "--n-max", "7", "--jobs", "2"],
+     "7061d35bed73d21348dd3af4bea136c6f1532b8aba0302b8defa222005a5ec38"),
+], ids=["exhaustive-2-6", "random-10-20", "exhaustive-2-7-jobs-2"])
 def test_verify_report_digests(tmp_path, capsys, corpus, digest):
     out = tmp_path / "report.json"
     assert main(["verify", "--claims", "all", *corpus, "--out", str(out)]) == 3  # C12, C13

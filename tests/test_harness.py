@@ -54,7 +54,6 @@ from stablecore.harness import (
     _check_c6,
     _check_c8,
     _check_c9,
-    _factor_cores,
     _pendant_dp_set,
     _pool_size,
     _TreeFacts,
@@ -378,6 +377,63 @@ def test_dedup_corpus_over_two_chunks():
     assert serial[0].checked == kept
 
 
+def _eager_suite(claims, spec, witness_limit):
+    """run_suite's verdicts from check_tree on every tree: every witness
+    built, then sorted by canonical key and cut to the limit."""
+    verdicts = []
+    for c in claims:
+        counts = {HOLDS: 0, REFUTED: 0, NOT_APPLICABLE: 0}
+        witnessed = []
+        for t in iter_corpus(spec):
+            try:
+                res = check_tree(c, t)
+            except ScaleExceeded:
+                counts[NOT_APPLICABLE] += 1
+                continue
+            counts[res.status] += 1
+            if res.witness is not None:
+                witnessed.append(res)
+        witnessed.sort(key=lambda r: (int(r.tree.partition(":")[0]), r.tree))
+        verdicts.append(harness.Verdict(
+            claim=c, corpus=spec, checked=sum(counts.values()), held=counts[HOLDS],
+            refuted=counts[REFUTED], skipped=counts[NOT_APPLICABLE],
+            witnesses=tuple(witnessed if witness_limit is None else witnessed[:witness_limit]),
+        ))
+    return verdicts
+
+
+@pytest.mark.parametrize("spec", [
+    CORPUS_26,
+    # 3,000 draws of 146 labeled trees: most trees come back many times
+    CorpusSpec("random", 4, 6, sample_size=3000, seed=17),
+], ids=["exhaustive-2-6", "random-4-6-repeats"])
+def test_run_suite_matches_eager_witness_reference(spec):
+    eager = {limit: _eager_suite(CLAIM_IDS, spec, limit) for limit in (0, 1, 16, None)}
+    assert [len(v.witnesses) for v in eager[None]] != [len(v.witnesses) for v in eager[16]]
+    for limit, expected in eager.items():
+        for jobs in (1, 2):
+            assert run_suite(CLAIM_IDS, spec, jobs=jobs, witness_limit=limit) == expected, (
+                limit, jobs)
+
+
+def test_e1_builds_measurements_only_for_kept_witnesses(monkeypatch):
+    calls = 0
+    enumerate_sets = harness.enumerate_maximal_stable_sets
+
+    def counted(t, limit):
+        nonlocal calls
+        calls += 1
+        return enumerate_sets(t, limit)
+
+    monkeypatch.setattr(harness, "enumerate_maximal_stable_sets", counted)
+    spec = CorpusSpec("exhaustive", 2, 7)
+    assert run_claim("E1", spec).checked == 18_248
+    assert 0 < calls <= 1_000
+    calls = 0
+    assert len(run_claim("E1", spec, witness_limit=None).witnesses) == 18_248
+    assert calls == 18_248
+
+
 # ---------------------------------------------------------------------------
 # hypothesis filters and cross-claim consistency
 
@@ -537,23 +593,27 @@ def _split_test_trees():
 
 
 def test_c9_split_values_match_factor_trees():
-    splits = 0
+    splits = unions = 0
     for t in _split_test_trees():
-        got = list(_bonding_splits(t, _Rooted(t)))
+        view = _Rooted(t)
+        got = list(_bonding_splits(t, view))
         assert [(v, u) for v, u, *_ in got] == [
             (v, u) for v in range(t.n) if t.degree(v) >= 2 for u in t.adjacency[v]
         ]
+        core_t = view.core()
         for v, u, alpha1, in_core1, alpha2, in_core2 in got:
             t1, v1, map1, t2, v2, map2 = _split_at(t, v, u)
             core1, core2 = core(t1), core(t2)
             assert (alpha1, in_core1, alpha2, in_core2) == (
                 alpha(t1), v1 in core1, alpha(t2), v2 in core2
             ), (serialize_tree(t), v, u)
-            assert _factor_cores(t, v, u) == (
-                {map1[x] for x in core1}, {map2[x] for x in core2}
-            ), (serialize_tree(t), v, u)
+            if v in core_t:
+                # what C9 compares with core(T) in place of the factor union
+                union = {map1[x] for x in core1} | {map2[x] for x in core2}
+                assert view.top_down_core() == union, (serialize_tree(t), v, u)
+                unions += 1
             splits += 1
-    assert splits > 150_000
+    assert splits > 150_000 and unions > 25_000
 
 
 def test_c9_refutations_match_reference_on_tampered_facts():

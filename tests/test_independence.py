@@ -380,13 +380,11 @@ def test_extend_on_larger_random_trees():
 # the position-indexed rooted view against a label-indexed reference
 
 
-def _label_bfs(t, root, skip=()):
+def _label_bfs(t, root):
     """Breadth-first order and parent labels, every table indexed by label
-    (-1 at the root and outside the view)."""
+    (-1 at the root)."""
     parent = [-1] * t.n
     parent[root] = root
-    for w in skip:
-        parent[w] = root
     order = [root]
     i = 0
     while i < len(order):
@@ -397,16 +395,14 @@ def _label_bfs(t, root, skip=()):
                 parent[w] = v
                 order.append(w)
     parent[root] = -1
-    for w in skip:
-        parent[w] = -1
     return order, parent
 
 
 class _LabelRooted:
     """The rooted view with its tables indexed by vertex label."""
 
-    def __init__(self, t, root=0, skip=()):
-        self.order, self.parent = _label_bfs(t, root, skip)
+    def __init__(self, t, root=0):
+        self.order, self.parent = _label_bfs(t, root)
         self.down_in = [1] * t.n
         self.down_ex = [0] * t.n
         for v in self.order[:0:-1]:
@@ -499,10 +495,10 @@ def _label_canonical_form(t):
     return min(encoding(c) for c in _centers(t))
 
 
-def _assert_view_matches(t, root, skip=()):
-    view, ref = _Rooted(t, root, skip), _LabelRooted(t, root, skip)
+def _assert_view_matches(t, root):
+    view, ref = _Rooted(t, root), _LabelRooted(t, root)
     order, parent_at = view.order, view.parent_at
-    where = (t.edges, root, skip)
+    where = (t.edges, root)
     assert order == ref.order, where
     assert len(parent_at) == len(view.down_in) == len(view.down_ex) == len(order), where
     # the root at position 0; parents before children, in nondecreasing order
@@ -516,23 +512,16 @@ def _assert_view_matches(t, root, skip=()):
     assert up_in == [ref_in[v] for v in order], where
     assert up_ex == [ref_ex[v] for v in order], where
     assert view.alpha() == ref.alpha(), where
-    assert view.core() == ref.core(), where
+    assert view.core() == ref.core() == view.top_down_core(), where
     assert view.count() == ref.count(), where
     assert view.one_set() == ref.one_set(), where
     assert view.bipartition() == ref.bipartition(), where
-    if not skip:
-        assert bfs_depths(t, root) == ref.depths(), where
+    assert bfs_depths(t, root) == ref.depths(), where
 
 
 def _assert_tree_matches(t, roots):
     for r in roots:
         _assert_view_matches(t, r)
-        if t.degree(r) >= 2:
-            # the part views that _factor_cores builds at a split of r by
-            # neighbor u: the branch behind u, and the rest
-            u = t.adjacency[r][-1]
-            _assert_view_matches(t, r, (u,))
-            _assert_view_matches(t, r, tuple(w for w in t.adjacency[r] if w != u))
     assert canonical_form(t) == _label_canonical_form(t)
     ref = _LabelRooted(t)
     if ref.count() <= 1000:  # the reference builds every state's sets
@@ -557,3 +546,14 @@ def test_positional_view_matches_label_reference_seeded():
     for n, seed in ((30, 1), (200, 2), (1999, 3), (20_000, 4)):
         t = random_tree(n, seed)
         _assert_tree_matches(t, (0, *SplitMix64(seed).draws(n, 3)))
+
+
+def test_top_down_core_matches_rerooting_core_on_large_trees():
+    # every labeled tree on 2..8 vertices is covered by the exhaustive test
+    # above; here seeded trees up to 10^5 vertices, from the rooted view at
+    # vertex 0 and at a drawn root
+    for n, seed in ((50, 5), (1_000, 6), (30_000, 7), (100_000, 8)):
+        t = random_tree(n, seed)
+        for root in (0, SplitMix64(seed).randrange(n)):
+            view = _Rooted(t, root)
+            assert view.top_down_core() == view.core() == core(t), (n, seed, root)
