@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutOfRange, TooSmall
-from .graph_model import Tree, tree_from_edges
+from .errors import TooSmall
+from .graph_model import Tree, _check_vertex, tree_from_edges
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,8 @@ def vertex_bond(t1: Tree, v1: int, t2: Tree, v2: int) -> BondResult:
     the argument, for a bond vertex that is not an int of its factor's
     range (a bool or a float included).
     """
-    for name, v, t in (("v1", v1, t1), ("v2", v2, t2)):
-        if type(v) is not int:
-            raise OutOfRange(f"{name}={v!r} is not an int")
-        if not 0 <= v < t.n:
-            raise OutOfRange(f"{name}={v} outside 0..{t.n - 1}")
+    _check_vertex(t1, "v1", v1)
+    _check_vertex(t2, "v2", v2)
     n = t1.n + t2.n - 1
     left_map = tuple(range(t1.n))
     right = []

@@ -15,15 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .bonding import vertex_bond
-from .errors import ParseError, StablecoreError
+from .errors import OutOfRange, ParseError, StablecoreError
 from .graph_model import Tree, tree_from_edges
 from .harness import (
     CLAIM_IDS,
-    ClaimResult,
     CorpusSpec,
     Verdict,
     check_suite,
@@ -118,40 +118,17 @@ def report_to_obj(rep: AnalysisReport) -> dict:
     }
 
 
-def claim_result_to_obj(res: ClaimResult) -> dict:
-    return {"claim": res.claim, "tree": res.tree, "status": res.status, "witness": res.witness}
-
-
-def verdict_to_obj(v: Verdict) -> dict:
-    return {
-        "claim": v.claim,
-        "corpus": {
-            "mode": v.corpus.mode,
-            "n_min": v.corpus.n_min,
-            "n_max": v.corpus.n_max,
-            "sample_size": v.corpus.sample_size,
-            "seed": v.corpus.seed,
-            "dedup_isomorphism": v.corpus.dedup_isomorphism,
-        },
-        "checked": v.checked,
-        "held": v.held,
-        "refuted": v.refuted,
-        "skipped": v.skipped,
-        "witnesses": [claim_result_to_obj(w) for w in v.witnesses],
-    }
+def _to_obj(item: AnalysisReport | Verdict) -> dict:
+    # a Verdict's fields, its corpus's and its witnesses' are the report's keys
+    return report_to_obj(item) if isinstance(item, AnalysisReport) else asdict(item)
 
 
 def write_report(item) -> str:
     """Byte-stable JSON for an AnalysisReport, a Verdict, or a list of them."""
-    if isinstance(item, AnalysisReport):
-        obj = report_to_obj(item)
-    elif isinstance(item, Verdict):
-        obj = verdict_to_obj(item)
+    if isinstance(item, (AnalysisReport, Verdict)):
+        obj = _to_obj(item)
     else:
-        obj = [
-            report_to_obj(x) if isinstance(x, AnalysisReport) else verdict_to_obj(x)
-            for x in item
-        ]
+        obj = [_to_obj(x) for x in item]
     # An exact count of maximum stable sets passes the interpreter's limit on
     # int-to-str conversion (4300 digits by default) from about 10^5 vertices.
     # The limit is lifted for this dump only: parse_tree_text calls int() on
@@ -211,28 +188,18 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rep = analyze(t)
-    if args.json is None and args.dot is None:
-        sys.stdout.write(write_report(rep))
-        return 0
-    if args.json is not None and _emit(write_report(rep), args.json):
+    # the JSON report goes to --json, or to stdout when no output is named
+    if (args.json is not None or args.dot is None) and _emit(write_report(rep), args.json):
         return 1
-    if args.dot is not None:
-        return _emit(export_dot(t, rep), args.dot)
-    return 0
+    return 0 if args.dot is None else _emit(export_dot(t, rep), args.dot)
 
 
 def _cmd_gen(args) -> int:
-    if args.random:
-        spec = CorpusSpec(
-            mode="random", n_min=args.n, n_max=args.n,
-            sample_size=args.count, seed=args.seed,
-            dedup_isomorphism=args.dedup_iso,
-        )
-    else:
-        spec = CorpusSpec(
-            mode="exhaustive", n_min=args.n, n_max=args.n,
-            dedup_isomorphism=args.dedup_iso,
-        )
+    # an exhaustive corpus reads neither sample_size nor seed
+    spec = CorpusSpec(
+        mode="random" if args.random else "exhaustive", n_min=args.n, n_max=args.n,
+        sample_size=args.count, seed=args.seed, dedup_isomorphism=args.dedup_iso,
+    )
     try:
         trees = list(iter_corpus(spec))
     except StablecoreError as exc:
@@ -304,20 +271,12 @@ def _cmd_bond(args) -> int:
     except StablecoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not 0 <= args.v1 < t1.n or not 0 <= args.v2 < t2.n:
-        print("error: bond vertex outside its tree", file=sys.stderr)
-        return 1
-    bond = vertex_bond(t1, args.v1, t2, args.v2)
-    return _emit(format_tree_file(bond.tree), args.out)
-
-
-def _cmd_convert(args) -> int:
     try:
-        t = parse_tree_file(args.file)
-    except StablecoreError as exc:
+        bond = vertex_bond(t1, args.v1, t2, args.v2)
+    except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _emit(export_dot(t, analyze(t)), args.dot)
+        return 1
+    return _emit(format_tree_file(bond.tree), args.out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -369,10 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE|-")
     p.set_defaults(func=_cmd_bond)
 
-    p = sub.add_parser("convert", help="edge-list to annotated DOT")
+    p = sub.add_parser("convert", help="edge-list to annotated DOT (analyze --dot)")
     p.add_argument("file")
     p.add_argument("--dot", required=True, metavar="OUT")
-    p.set_defaults(func=_cmd_convert)
+    p.set_defaults(func=_cmd_analyze, json=None)
     return parser
 
 

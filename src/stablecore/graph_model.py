@@ -136,10 +136,18 @@ def _parity_sides(order: list[int], parent_at: list[int]) -> Bipartition:
     )
 
 
+def _check_vertex(t: Tree, name: str, v: int) -> None:
+    """Raise OutOfRange, naming the argument ``name``, unless ``v`` is an
+    exact int in 0..n-1: a float fails as a list index, a bool passes as 0 or 1."""
+    if type(v) is not int:
+        raise OutOfRange(f"{name}={v!r} is not an int")
+    if not 0 <= v < t.n:
+        raise OutOfRange(f"{name}={v} outside 0..{t.n - 1}")
+
+
 def bfs_depths(t: Tree, root: int) -> list[int]:
     """Edge-count distance from ``root`` to every vertex."""
-    if not 0 <= root < t.n:
-        raise OutOfRange(f"vertex {root} outside 0..{t.n - 1}")
+    _check_vertex(t, "root", root)
     order, parent_at = _bfs_order(t, root)
     depth_at = [0] * t.n
     i = 1
@@ -154,8 +162,8 @@ def bfs_depths(t: Tree, root: int) -> list[int]:
 
 def distance(t: Tree, u: int, v: int) -> int:
     """Number of edges on the unique u-v path."""
-    if not 0 <= u < t.n or not 0 <= v < t.n:
-        raise OutOfRange(f"vertex pair ({u},{v}) outside 0..{t.n - 1}")
+    _check_vertex(t, "u", u)
+    _check_vertex(t, "v", v)
     return bfs_depths(t, u)[v]
 
 

@@ -18,7 +18,8 @@ Registry:
   C3  every maximum stable set contains a pendant vertex
   C4  trees with a perfect matching have two pendants at odd distance
   C5  "one maximum stable set whose complement is stable", "all pendants on
-      one bipartition side" and "all pendant distances even" are equivalent
+      one bipartition side" and "all pendant distances even" are equivalent;
+      a tree has one maximum stable set iff |core| = alpha
   C6  every stable set larger than the smaller bipartition side contains a
       pendant vertex, and a pendant member at distance two from a member;
       C1, C2, C3 and C6 read two sizes from one O(n) DP over T minus its
@@ -36,7 +37,8 @@ Registry:
   C11 no perfect matching and a core vertex of degree >= 2k (k >= 2)
       => at least 2k pendants in the core
   C12 no perfect matching => (a) two distinct core pendants at even
-      distance; (b) if exactly two, their distance is never four
+      distance; (b) if exactly two, they are never four apart, that is on
+      distinct supports with a common neighbor
   C13 core size >= 1 + alpha - mu (report only, never asserted:
       it fails on trees with a perfect matching)
   E1  measurement: intersection of all maximal stable sets of size k for
@@ -63,7 +65,6 @@ from .graph_model import (
     _prufer_draw,
     canonical_form,
     derive_seed,
-    distance,
     labeled_tree_at,
     labeled_tree_count,
     pendant_vertices,
@@ -74,11 +75,6 @@ from .independence import (
     _Rooted,
     _strong_unique_of,
     enumerate_maximal_stable_sets,
-)
-
-CLAIM_IDS = (
-    "C1", "C2", "C3", "C4", "C5", "C6", "C7",
-    "C8", "C9", "C10", "C11", "C12", "C13", "E1",
 )
 
 # E1 enumerates all maximal stable sets and refuses trees above this size;
@@ -304,12 +300,11 @@ def _check_c4(facts: _TreeFacts):
 
 
 def _check_c5(facts: _TreeFacts):
-    t = facts.tree
     pend = facts.pend
     sides = facts.bip
     one_side = pend <= sides.a or pend <= sides.b
     even_dists = len({v in sides.a for v in pend}) == 1
-    definitional = _strong_unique_of(t, facts.rooted)
+    definitional = _strong_unique_of(facts.tree, facts.core, facts.alpha)
     if definitional == one_side == even_dists:
         return HOLDS, None
     return REFUTED, {
@@ -468,11 +463,17 @@ def _check_c12(facts: _TreeFacts):
     odd = [v for v in cp if v in sides.b]
     if max(len(even), len(odd)) < 2:
         return REFUTED, {"subclaim": "a", "core_pendants": cp}
-    if len(cp) == 2:
-        d = distance(t, cp[0], cp[1])
-        if d == 4:
-            return REFUTED, {"subclaim": "b", "core_pendants": cp, "distance": d}
+    if len(cp) == 2 and _pendants_four_apart(t, cp[0], cp[1]):
+        return REFUTED, {"subclaim": "b", "core_pendants": cp, "distance": 4}
     return HOLDS, None
+
+
+def _pendants_four_apart(t: Tree, p: int, q: int) -> bool:
+    """Whether the distinct pendants p and q are at distance four: iff their
+    supports differ and share a neighbor. A tree has no triangle, so two
+    supports with a common neighbor are exactly two apart."""
+    s, r = t.adjacency[p][0], t.adjacency[q][0]
+    return s != r and not set(t.adjacency[s]).isdisjoint(t.adjacency[r])
 
 
 def _check_c13(facts: _TreeFacts):
@@ -537,6 +538,8 @@ _CHECKERS = {
     "C9": _check_c9, "C10": _check_c10, "C11": _check_c11, "C12": _check_c12,
     "C13": _check_c13, "E1": _check_e1,
 }
+
+CLAIM_IDS = tuple(_CHECKERS)
 
 
 def check_tree(claim: str, t: Tree) -> ClaimResult:

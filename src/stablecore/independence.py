@@ -295,15 +295,17 @@ def is_strong_unique_independent(t: Tree) -> bool:
 def is_strong_unique_by_definition(t: Tree) -> bool:
     """Definitional cross-check: exactly one maximum stable set, whose
     complement is also stable."""
-    return _strong_unique_of(t, _Rooted(t))
+    view = _Rooted(t)
+    return _strong_unique_of(t, view.core(), view.alpha())
 
 
-def _strong_unique_of(t: Tree, view: _Rooted) -> bool:
-    """``is_strong_unique_by_definition`` read from a view of t built already."""
-    if view.count() != 1:
-        return False
-    s = view.one_set()
-    return all(v in s or s.issuperset(a) for v, a in enumerate(t.adjacency))
+def _strong_unique_of(t: Tree, core: frozenset[int], alpha: int) -> bool:
+    """``is_strong_unique_by_definition`` from t's core and alpha: t has one
+    maximum stable set, the core, iff |core| = alpha (an O(1) test that most
+    trees fail), and its complement is stable iff every edge meets the core."""
+    return len(core) == alpha and all(
+        v in core or core.issuperset(a) for v, a in enumerate(t.adjacency)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,15 @@
 The production modules (graph_model, independence, harness, cli, bonding,
 errors) decide every verdict and import nothing from here; this module
 imports what it needs from them. It holds vertex deletion into forests, a
-quadratic per-deletion core, an exhaustive bitmask oracle for graphs that
-need not be trees, explicit enumeration of the maximum stable sets, and the
-non-tree figure fixture.
+quadratic per-deletion core, a matching-based core, an exhaustive bitmask
+oracle for graphs that need not be trees, explicit enumeration of the
+maximum stable sets, and the non-tree figure fixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Iterator
 
 from .errors import EmptyResult, LimitExceeded, OutOfRange, StablecoreError, TooLarge
@@ -122,6 +122,64 @@ def core_naive(t: Tree) -> frozenset[int]:
     summing component stability numbers."""
     target = alpha(t) - 1
     return frozenset(v for v in range(t.n) if _alpha_without(t, v) == target)
+
+
+def _greedy_mates(t: Tree) -> list[int]:
+    """The mate of each vertex (-1 if exposed) in a maximum matching, built
+    from the leaves inward: in reverse breadth-first order from vertex 0, a
+    vertex still exposed is matched to its parent if that is exposed too.
+    Exact on trees: at v's turn its children are matched, so v is a leaf of
+    the forest left, and some maximum matching of a forest holds the edge of
+    a leaf. Its own traversal; nothing is shared with the stability DP."""
+    n = t.n
+    adjacency = t.adjacency
+    parent = [-1] * n
+    seen = bytearray(n)
+    seen[0] = 1
+    order = [0]
+    for v in order:
+        for w in adjacency[v]:
+            if not seen[w]:
+                seen[w] = 1
+                parent[w] = v
+                order.append(w)
+    mate = [-1] * n
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0 and mate[v] < 0 and mate[p] < 0:
+            mate[v] = p
+            mate[p] = v
+    return mate
+
+
+def maximum_matching(t: Tree) -> list[tuple[int, int]]:
+    """The edges (v, w), v < w, of a maximum matching of t, in order of v."""
+    return [(v, w) for v, w in enumerate(_greedy_mates(t)) if v < w]
+
+
+def core_by_matching(t: Tree) -> frozenset[int]:
+    """The core from a maximum matching, independently of the stability DP.
+
+    On a bipartite graph, v is in the core iff alpha(G - v) = alpha - 1, and
+    by Konig on G and G - v iff some maximum matching misses v. Those are
+    the vertices that an even alternating path reaches from an exposed
+    vertex (Gallai-Edmonds; Lovasz & Plummer, Matching Theory, 1986): from
+    an even vertex, a non-matching edge leads to a matched vertex, and its
+    matching edge to the next even one."""
+    mate = _greedy_mates(t)
+    even = bytearray(v < 0 for v in mate)
+    stack = [v for v, w in enumerate(mate) if w < 0]
+    adjacency = t.adjacency
+    while stack:
+        x = stack.pop()
+        for y in adjacency[x]:
+            z = mate[y]
+            if z < 0:
+                raise AssertionError(f"augmenting path at edge ({x},{y}): matching not maximum")
+            if not even[z]:
+                even[z] = 1
+                stack.append(z)
+    return frozenset(compress(range(t.n), even))
 
 
 def alpha_forest(f: Forest) -> int:

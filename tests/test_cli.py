@@ -395,6 +395,9 @@ def test_bond_cli(tmp_path, capsys):
 def test_bond_vertex_out_of_range_is_usage_error(tmp_path, capsys):
     f = write(tmp_path, "p3.txt", format_tree_file(path(3)))
     assert main(["bond", f, "3", f, "0"]) == 1
+    assert capsys.readouterr().err == "error: v1=3 outside 0..2\n"
+    assert main(["bond", f, "0", f, "-1"]) == 1
+    assert capsys.readouterr().err == "error: v2=-1 outside 0..2\n"
 
 
 def test_convert_cli(tmp_path):
@@ -403,6 +406,18 @@ def test_convert_cli(tmp_path):
     assert main(["convert", f, "--dot", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("graph tree {") and text.rstrip().endswith("}")
+
+
+@pytest.mark.parametrize("tree", [fig5_tree(), random_tree(200, 13)], ids=["fig5", "random-200"])
+def test_convert_writes_the_bytes_of_analyze_dot(tmp_path, capsys, tree):
+    f = write(tmp_path, "tree.txt", format_tree_file(tree))
+    converted, drawn = tmp_path / "convert.dot", tmp_path / "analyze.dot"
+    assert main(["convert", f, "--dot", str(converted)]) == 0
+    assert main(["analyze", f, "--dot", str(drawn)]) == 0
+    assert capsys.readouterr().out == ""
+    assert converted.read_bytes() == drawn.read_bytes()
+    assert main(["convert", f, "--dot", "-"]) == 0
+    assert capsys.readouterr().out == drawn.read_text()
 
 
 def test_verify_exit_codes_and_report(tmp_path, capsys):

@@ -14,6 +14,7 @@ from stablecore import (
     TooLarge,
     TooSmall,
     Tree,
+    bfs_depths,
     bipartition,
     canonical_form,
     delete_vertices,
@@ -195,6 +196,23 @@ def test_distance():
     assert distance(p5, 2, 2) == 0
     with pytest.raises(OutOfRange):
         distance(p5, 0, 5)
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, True])
+def test_vertex_arguments_must_be_exact_ints(bad):
+    # a float fails as a list index and a bool passes as vertex 1: both are
+    # refused up front, naming the argument
+    p5 = path(5)
+    with pytest.raises(OutOfRange, match=rf"^root={bad!r} is not an int$"):
+        bfs_depths(p5, bad)
+    with pytest.raises(OutOfRange, match=rf"^u={bad!r} is not an int$"):
+        distance(p5, bad, 0)
+    with pytest.raises(OutOfRange, match=rf"^v={bad!r} is not an int$"):
+        distance(p5, 0, bad)
+    with pytest.raises(OutOfRange, match=r"^root=5 outside 0\.\.4$"):
+        bfs_depths(p5, 5)
+    with pytest.raises(OutOfRange, match=r"^v=-1 outside 0\.\.4$"):
+        distance(p5, 0, -1)
 
 
 def test_delete_vertices():

@@ -11,12 +11,14 @@ from stablecore import (
     CorpusSpec,
     OutOfRange,
     ParseError,
+    SplitMix64,
     StablecoreError,
     TooLarge,
     TooSmall,
     alpha,
     alpha_forest,
     analyze,
+    bfs_depths,
     brute_force_stability,
     check_tree,
     core,
@@ -55,6 +57,7 @@ from stablecore.harness import (
     _check_c8,
     _check_c9,
     _pendant_dp_set,
+    _pendants_four_apart,
     _pool_size,
     _TreeFacts,
 )
@@ -90,6 +93,31 @@ def test_c12_even_distance_subclaim_on_fixtures():
     assert check_tree("C12", path(4)).status == "not-applicable"
 
 
+def _assert_four_apart_rule(t):
+    """``_pendants_four_apart`` against the distance for every ordered pair
+    of distinct pendants; bfs_depths(t, p)[q] is distance(t, p, q), one
+    sweep per pendant."""
+    pend = sorted(pendant_vertices(t))
+    for p in pend:
+        depth = bfs_depths(t, p)
+        for q in pend:
+            if q != p:
+                assert _pendants_four_apart(t, p, q) == (depth[q] == 4), (serialize_tree(t), p, q)
+
+
+def test_pendants_four_apart_matches_distance_exhaustive():
+    for n in range(2, 9):
+        for t in enumerate_labeled_trees(n):
+            _assert_four_apart_rule(t)
+
+
+def test_pendants_four_apart_matches_distance_seeded():
+    assert distance(path(5), 0, 4) == 4 and _pendants_four_apart(path(5), 0, 4)
+    sizes = SplitMix64(4040)
+    for i in range(30):
+        _assert_four_apart_rule(random_tree(9 + sizes.randrange(992), seed=derive_seed(4040, i)))
+
+
 def test_unknown_claim_rejected():
     with pytest.raises(StablecoreError):
         check_tree("C99", path(3))
@@ -109,6 +137,9 @@ def test_serialization_rejects_malformed_text(text):
 
 
 def test_claim_registry_is_complete():
+    # the registry's order is the report's claim order
+    assert CLAIM_IDS == ("C1", "C2", "C3", "C4", "C5", "C6", "C7",
+                         "C8", "C9", "C10", "C11", "C12", "C13", "E1")
     for claim in CLAIM_IDS:
         res = check_tree(claim, path(5))
         assert res.status in ("holds", "refuted", "not-applicable")

@@ -24,6 +24,7 @@ from stablecore import (
     core_naive,
     count_maximum_stable_sets,
     delete_vertices,
+    derive_seed,
     enumerate_labeled_trees,
     enumerate_maximal_stable_sets,
     enumerate_maximum_stable_sets,
@@ -43,7 +44,8 @@ from stablecore import (
 )
 from stablecore.graph_model import _centers
 from stablecore.harness import fig5_tree
-from stablecore.reference import fig1_graph
+from stablecore import reference
+from stablecore.reference import core_by_matching, fig1_graph, maximum_matching
 from stablecore.independence import _Rooted
 
 
@@ -249,6 +251,51 @@ def test_exhaustive_agreement_small():
             )
 
 
+def _assert_matching(t, matching):
+    """``matching`` is a set of edges of t with no shared endpoint."""
+    ends = [x for e in matching for x in e]
+    assert len(set(ends)) == len(ends)
+    assert all(w in t.adjacency[v] for v, w in matching)
+
+
+def test_core_by_matching_matches_core_exhaustive():
+    no_perfect = 0
+    for n in range(2, 9):
+        for t in enumerate_labeled_trees(n):
+            m = maximum_matching(t)
+            _assert_matching(t, m)
+            assert len(m) == mu(t)
+            assert core_by_matching(t) == core(t)
+            no_perfect += 2 * len(m) < n
+    # criterion 9's count of trees on 2..8 vertices without a perfect matching
+    assert no_perfect == 172139
+
+
+def test_core_by_matching_on_the_criterion_7_tree():
+    t = random_tree(10**6, seed=20260808)
+    assert core_by_matching(t) == core(t)
+
+
+def test_konig_certificate_on_seeded_trees():
+    # a stable set and a matching whose sizes sum to n are both optimal:
+    # each matching edge keeps one of its ends out of any stable set
+    sizes = SplitMix64(6060)
+    for i in range(12):
+        n = 10**5 if i == 0 else 2 + sizes.randrange(10**5 - 1)
+        t = random_tree(n, seed=derive_seed(6060, i))
+        s = one_maximum_stable_set(t)
+        assert all(s.isdisjoint(t.adjacency[v]) for v in s)
+        m = maximum_matching(t)
+        _assert_matching(t, m)
+        assert len(s) + len(m) == n
+
+
+def test_core_by_matching_reports_a_matching_that_is_not_maximum(monkeypatch):
+    monkeypatch.setattr(reference, "_greedy_mates", lambda t: [-1] * t.n)
+    with pytest.raises(AssertionError, match="augmenting path"):
+        core_by_matching(path(3))
+
+
 def test_deep_path_without_recursion():
     # 3001 levels below the root, far past the interpreter's recursion limit
     p = path(3001)
@@ -285,6 +332,36 @@ def test_strong_unique_agreement_small():
     for n in range(2, 8):
         for t in enumerate_labeled_trees(n):
             assert is_strong_unique_independent(t) == is_strong_unique_by_definition(t)
+
+
+def strong_unique_by_count(t):
+    """The definition read literally: exactly one maximum stable set, counted
+    by the DP multiplicities, and the complement of that set is stable."""
+    view = _Rooted(t)
+    if view.count() != 1:
+        return False
+    s = view.one_set()
+    return all(v in s or s.issuperset(a) for v, a in enumerate(t.adjacency))
+
+
+def test_strong_unique_by_core_matches_count_exhaustive():
+    held = 0
+    for n in range(2, 9):
+        for t in enumerate_labeled_trees(n):
+            got = is_strong_unique_by_definition(t)
+            assert got == strong_unique_by_count(t), t
+            held += got
+    assert held > 1000  # both outcomes are exercised
+
+
+def test_strong_unique_by_core_matches_count_seeded():
+    sizes = SplitMix64(5050)
+    samples = [path(10**4 - 1), path(10**4), spider(4999), star(10**4)]
+    samples += [random_tree(2 + sizes.randrange(10**4 - 1), seed=derive_seed(5050, i))
+                for i in range(40)]
+    for t in samples:
+        assert is_strong_unique_by_definition(t) == strong_unique_by_count(t), t.n
+    assert [is_strong_unique_by_definition(t) for t in samples[:4]] == [True, False, True, True]
 
 
 # ---------------------------------------------------------------------------
