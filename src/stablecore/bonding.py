@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooSmall
-from .graph_model import Tree, _check_vertex, tree_from_edges
+from .graph_model import Tree, _check_int, tree_from_edges
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ def vertex_bond(t1: Tree, v1: int, t2: Tree, v2: int) -> BondResult:
     the argument, for a bond vertex that is not an int of its factor's
     range (a bool or a float included).
     """
-    _check_vertex(t1, "v1", v1)
-    _check_vertex(t2, "v2", v2)
+    _check_int("v1", v1, t1.n)
+    _check_int("v2", v2, t2.n)
     n = t1.n + t2.n - 1
     left_map = tuple(range(t1.n))
     right = []

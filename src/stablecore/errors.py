@@ -12,7 +12,7 @@ class NotATree(StablecoreError):
 
 
 class OutOfRange(StablecoreError):
-    """A vertex index is outside 0..n-1."""
+    """A vertex or other integer argument is not an int or out of its range."""
 
 
 class TooSmall(StablecoreError):

@@ -136,18 +136,19 @@ def _parity_sides(order: list[int], parent_at: list[int]) -> Bipartition:
     )
 
 
-def _check_vertex(t: Tree, name: str, v: int) -> None:
+def _check_int(name: str, v, n: int | None = None) -> None:
     """Raise OutOfRange, naming the argument ``name``, unless ``v`` is an
-    exact int in 0..n-1: a float fails as a list index, a bool passes as 0 or 1."""
+    exact int (a float fails as a list index, a bool passes as 0 or 1) and,
+    with ``n`` given, a vertex in 0..n-1."""
     if type(v) is not int:
         raise OutOfRange(f"{name}={v!r} is not an int")
-    if not 0 <= v < t.n:
-        raise OutOfRange(f"{name}={v} outside 0..{t.n - 1}")
+    if n is not None and not 0 <= v < n:
+        raise OutOfRange(f"{name}={v} outside 0..{n - 1}")
 
 
 def bfs_depths(t: Tree, root: int) -> list[int]:
     """Edge-count distance from ``root`` to every vertex."""
-    _check_vertex(t, "root", root)
+    _check_int("root", root, t.n)
     order, parent_at = _bfs_order(t, root)
     depth_at = [0] * t.n
     i = 1
@@ -162,8 +163,8 @@ def bfs_depths(t: Tree, root: int) -> list[int]:
 
 def distance(t: Tree, u: int, v: int) -> int:
     """Number of edges on the unique u-v path."""
-    _check_vertex(t, "u", u)
-    _check_vertex(t, "v", v)
+    _check_int("u", u, t.n)
+    _check_int("v", v, t.n)
     return bfs_depths(t, u)[v]
 
 

@@ -19,7 +19,8 @@ Registry:
   C4  trees with a perfect matching have two pendants at odd distance
   C5  "one maximum stable set whose complement is stable", "all pendants on
       one bipartition side" and "all pendant distances even" are equivalent;
-      a tree has one maximum stable set iff |core| = alpha
+      the side test decides both of the last two; a tree has one maximum
+      stable set iff |core| = alpha
   C6  every stable set larger than the smaller bipartition side contains a
       pendant vertex, and a pendant member at distance two from a member;
       C1, C2, C3 and C6 read two sizes from one O(n) DP over T minus its
@@ -29,10 +30,10 @@ Registry:
   C8  every stable set of pendant vertices extends to a maximum stable set
   C9  bonding laws at every internal vertex split T = T1 * v * T2: v is in
       core(T) iff it is in both factor cores; and then the stability numbers
-      add up (minus one) and core(T) is the union of the factor cores; the
-      rerooting DP gives each split's factor values in O(1), and where v is
-      in both factor cores their union is the core that a second, top-down
-      core pass finds once per tree, so no factor is built
+      add up (minus one) and core(T) is the union of the factor cores; one
+      upward pass gives each split's factor values in O(1) and, for where v
+      is in both factor cores, their union: the vertices whose deletion
+      drops alpha; no factor is built
   C10 no perfect matching => at least two pendants in the core
   C11 no perfect matching and a core vertex of degree >= 2k (k >= 2)
       => at least 2k pendants in the core
@@ -52,6 +53,7 @@ import os
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import compress
 from multiprocessing import get_context
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -62,6 +64,7 @@ from .graph_model import (
     Bipartition,
     SplitMix64,
     Tree,
+    _check_int,
     _prufer_draw,
     canonical_form,
     derive_seed,
@@ -161,14 +164,8 @@ def fig5_tree() -> Tree:
 class _TreeFacts:
     def __init__(self, tree: Tree):
         self.tree = tree
-
-    @cached_property
-    def rooted(self) -> _Rooted:
-        return _Rooted(self.tree)
-
-    @cached_property
-    def alpha(self) -> int:
-        return self.rooted.alpha()
+        self.rooted = _Rooted(tree)
+        self.alpha = self.rooted.alpha()
 
     @cached_property
     def core(self) -> frozenset[int]:
@@ -302,15 +299,16 @@ def _check_c4(facts: _TreeFacts):
 def _check_c5(facts: _TreeFacts):
     pend = facts.pend
     sides = facts.bip
+    # In a tree, d(p, q) is even iff p and q lie on one side, so the side
+    # test also decides whether all pendant distances are even
     one_side = pend <= sides.a or pend <= sides.b
-    even_dists = len({v in sides.a for v in pend}) == 1
     definitional = _strong_unique_of(facts.tree, facts.core, facts.alpha)
-    if definitional == one_side == even_dists:
+    if definitional == one_side:
         return HOLDS, None
     return REFUTED, {
         "definitional": definitional,
         "pendants_on_one_side": one_side,
-        "pendant_distances_even": even_dists,
+        "pendant_distances_even": one_side,
     }
 
 
@@ -355,15 +353,14 @@ def _check_c8(facts: _TreeFacts):
     return HOLDS, None
 
 
-def _bonding_splits(t: Tree, view: _Rooted):
+def _bonding_splits(t: Tree, view: _Rooted, up_in: list[int], up_ex: list[int]):
     """(v, u, alpha(T1), v in core(T1), alpha(T2), v in core(T2)) for every
     split T = T1 * v * T2 at an internal v, T1 being v plus the branch behind
     neighbor u, in v-then-u order. At the positions i of v and j of u, a
     branch's (in, out) optima are down_in[j]/down_ex[j] for a child u,
-    up_in[i]/up_ex[i] for the parent; v is in a factor's core iff forcing it
-    in beats leaving it out."""
+    up_in[i]/up_ex[i] (from ``view.up()``) for the parent; v is in a
+    factor's core iff forcing it in beats leaving it out."""
     parent_at, down_in, down_ex = view.parent_at, view.down_in, view.down_ex
-    up_in, up_ex = view.up()
     at = [0] * t.n  # vertex label -> position
     for i, v in enumerate(view.order):
         at[v] = i
@@ -388,20 +385,27 @@ def _bonding_splits(t: Tree, view: _Rooted):
                    rest_in if rest_in > rest_ex else rest_ex, rest_in > rest_ex)
 
 
+def _deletion_set(view: _Rooted, up_in: list[int], up_ex: list[int]) -> frozenset[int]:
+    """The x with alpha(T - x) = alpha(T) - 1, alpha(T - x) being x's subtree
+    optimum with x out plus the optimum above x. Where v is in both factor
+    cores, alpha(T - x) = alpha(T1 - x) + alpha(T2) - 1 for x != v in T1's
+    branch, so this is the union of the factor cores at every such split."""
+    target = view.alpha() - 1
+    return frozenset(compress(view.order, [
+        de + (ui if ui > ue else ue) == target
+        for de, ui, ue in zip(view.down_ex, up_in, up_ex)
+    ]))
+
+
 def _check_c9(facts: _TreeFacts):
     t = facts.tree
     if t.n < 3:  # the single edge has no internal vertex
         return NOT_APPLICABLE, None
     core_t = facts.core
     alpha_t = facts.alpha
-    # Where v is in both factor cores, every maximum stable set of either
-    # factor is v plus, in each of v's branches, a best set of the branch
-    # with its root left out. So the union of the factor cores is v plus the
-    # intersection of those sets per branch: the same at every such split,
-    # and the core of T, which the top-down pass finds without the upward
-    # pass behind facts.core.
-    factor_union = None
-    for v, u, alpha1, in_core1, alpha2, in_core2 in _bonding_splits(t, facts.rooted):
+    up = facts.rooted.up()
+    factor_union = _deletion_set(facts.rooted, *up)
+    for v, u, alpha1, in_core1, alpha2, in_core2 in _bonding_splits(t, facts.rooted, *up):
         bonded_in_core = v in core_t
         factors_in_core = in_core1 and in_core2
         if bonded_in_core != factors_in_core:
@@ -416,8 +420,6 @@ def _check_c9(facts: _TreeFacts):
                 "vertex": v, "neighbor": u, "law": "stability numbers add up",
                 "alpha": alpha_t, "alpha_factors": [alpha1, alpha2],
             }
-        if factor_union is None:
-            factor_union = facts.rooted.top_down_core()
         if factor_union != core_t:
             return REFUTED, {
                 "vertex": v, "neighbor": u, "law": "core is union of factor cores",
@@ -458,10 +460,8 @@ def _check_c12(facts: _TreeFacts):
     if 2 * facts.alpha <= t.n:
         return NOT_APPLICABLE, None
     cp = sorted(facts.core & facts.pend)
-    sides = facts.bip
-    even = [v for v in cp if v in sides.a]
-    odd = [v for v in cp if v in sides.b]
-    if max(len(even), len(odd)) < 2:
+    on_a = len(facts.bip.a.intersection(cp))  # two on one side are an even distance apart
+    if max(on_a, len(cp) - on_a) < 2:
         return REFUTED, {"subclaim": "a", "core_pendants": cp}
     if len(cp) == 2 and _pendants_four_apart(t, cp[0], cp[1]):
         return REFUTED, {"subclaim": "b", "core_pendants": cp, "distance": 4}
@@ -560,6 +560,8 @@ def check_tree(claim: str, t: Tree) -> ClaimResult:
 def validate_corpus(spec: CorpusSpec) -> None:
     if spec.mode not in ("exhaustive", "random"):
         raise StablecoreError(f"unknown corpus mode {spec.mode!r}")
+    _check_int("n_min", spec.n_min)
+    _check_int("n_max", spec.n_max)
     if spec.n_min < 2:
         raise TooSmall(f"n_min={spec.n_min} < 2")
     if spec.n_min > spec.n_max:
@@ -570,10 +572,13 @@ def validate_corpus(spec: CorpusSpec) -> None:
                 f"exhaustive corpus needs n_max <= {DEFAULT_ENUMERATION_CEILING}, got {spec.n_max}"
             )
     else:
+        if spec.sample_size is not None:
+            _check_int("sample_size", spec.sample_size)
         if not spec.sample_size or spec.sample_size < 1:
             raise StablecoreError("random corpus needs sample_size >= 1")
         if spec.seed is None:
             raise StablecoreError("random corpus needs a seed")
+        _check_int("seed", spec.seed)
 
 
 def corpus_size(spec: CorpusSpec) -> int:
@@ -586,8 +591,9 @@ def corpus_size(spec: CorpusSpec) -> int:
 def corpus_tree(spec: CorpusSpec, index: int) -> Tree:
     """Tree number ``index`` of the corpus; pure in (spec, index). Raises
     the errors of ``validate_corpus`` for a bad spec, and OutOfRange for an
-    index outside 0..corpus_size(spec)-1."""
+    index that is not an int or is outside 0..corpus_size(spec)-1."""
     validate_corpus(spec)
+    _check_int("index", index)
     if spec.mode == "exhaustive" and index >= 0:
         rest = index
         for n in range(spec.n_min, spec.n_max + 1):
@@ -618,8 +624,7 @@ def _kept(spec: CorpusSpec) -> Iterator[tuple[int, Tree]]:
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[Tree]:
     """Corpus trees in index order, with isomorphism dedup applied if asked."""
-    for _, t in _kept(spec):
-        yield t
+    return (t for _, t in _kept(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +704,13 @@ def check_suite(
             raise StablecoreError(f"unknown claim {c!r}; valid: {', '.join(CLAIM_IDS)}")
         if claims.count(c) > 1:
             raise StablecoreError(f"claim {c} is listed more than once")
+    _check_int("jobs", jobs)
     if jobs < 1:
         raise StablecoreError(f"jobs must be >= 1, got {jobs}")
-    if witness_limit is not None and witness_limit < 0:
-        raise StablecoreError(f"witness_limit must be >= 0, got {witness_limit}")
+    if witness_limit is not None:
+        _check_int("witness_limit", witness_limit)
+        if witness_limit < 0:
+            raise StablecoreError(f"witness_limit must be >= 0, got {witness_limit}")
     if claims:
         validate_corpus(corpus)
     return claims

@@ -1,12 +1,10 @@
 """Stability computations on trees: maximum stable sets, core, matchings.
 
-The production path for the core (vertices common to every maximum stable
-set) is a two-pass rerooting dynamic program: a downward pass collects
-per-subtree optima with the subtree root forced in or out, an upward pass
-propagates the optimum of everything outside each subtree, and the two
-together give the stability number of T - v for every v in one O(n) sweep.
-A vertex lies in the core exactly when deleting it drops the stability
-number.
+The core (vertices common to every maximum stable set) takes two passes
+over one rooted traversal: a downward pass collects per-subtree optima with
+the subtree root forced in or out, and a top-down pass puts each vertex in
+every, some or no maximum stable set. The upward pass, which gives the
+stability number of T - v for every v, serves claim C9 alone.
 
 The one scan left here is Bron-Kerbosch over the maximal stable sets, which
 the measurement E1 runs on small trees. The independent reference paths
@@ -25,13 +23,13 @@ from .graph_model import Bipartition, Tree, _bfs_order, _parity_sides, bipartiti
 
 BRUTE_FORCE_CEILING = 30
 
-# top_down_core's states as compress selectors: in every set (2) or not
+# core's states as compress selectors: in every set (2) or not
 _IN_EVERY = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x01")
 
 
 class _Rooted:
     """A tree rooted at vertex ``root`` with its downward include/exclude DP,
-    built once and read by every stability quantity of the tree.
+    built once and read by every stability quantity; ``up`` by C9 alone.
 
     Every table is indexed by breadth-first position, not by vertex label:
     ``order[i]`` is the vertex at position i (the root at 0) and
@@ -88,18 +86,8 @@ class _Rooted:
         return up_in, up_ex
 
     def core(self) -> frozenset[int]:
-        """v is in the core iff alpha(T - v) == alpha(T) - 1, and alpha(T - v)
-        is the child-subtree optima plus the optimum above v."""
-        target = self.alpha() - 1
-        up_in, up_ex = self.up()
-        return frozenset(compress(self.order, [
-            de + (ui if ui > ue else ue) == target
-            for de, ui, ue in zip(self.down_ex, up_in, up_ex)
-        ]))
-
-    def top_down_core(self) -> frozenset[int]:
-        """The core again, independently of the upward pass: a top-down pass
-        puts each vertex in every (2), some (1) or no (0) maximum stable set.
+        """The vertices in every maximum stable set: a top-down pass puts
+        each vertex in every (2), some (1) or no (0) maximum stable set.
         Where the parent is in none, the subtree is optimal on its own, so
         the root and such a child follow their own down_in against down_ex;
         a child of a vertex in every set is in none; a child of a vertex in
@@ -176,7 +164,8 @@ def has_perfect_matching(t: Tree) -> bool:
 
 
 def core(t: Tree) -> frozenset[int]:
-    """Intersection of all maximum stable sets, in O(n) by rerooting."""
+    """Intersection of all maximum stable sets, in O(n) by one top-down
+    pass over the downward DP."""
     return _Rooted(t).core()
 
 

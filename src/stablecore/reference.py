@@ -82,7 +82,7 @@ def delete_vertices(t: Tree, w: Iterable[int]) -> Forest:
 
 def _alpha_without(t: Tree, skip: int) -> int:
     """Stability number of T - skip, recomputed from scratch (no shared state
-    with the rerooting path; this is the quadratic reference's inner step)."""
+    with the production DP; this is the quadratic reference's inner step)."""
     n = t.n
     adjacency = t.adjacency
     parent = [-2] * n

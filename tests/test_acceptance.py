@@ -118,7 +118,7 @@ def test_criterion_1_oracle_equivalence(sweep):
     _report(
         "criterion-1",
         ok,
-        f"{total} trees; rerooting core, quadratic core, intersection core, "
+        f"{total} trees; top-down core, quadratic core, intersection core, "
         f"alpha and mu all match the subset-scan oracle; {len(mismatches)} mismatches",
     )
     assert total == TOTAL_TREES
@@ -317,7 +317,7 @@ def test_criterion_7_linear_core_performance_and_agreement():
         "criterion-7",
         ok,
         f"core of a 10^6-vertex tree in {elapsed:.2f}s (budget 5s, |core|="
-        f"{len(big_core)}); rerooting vs quadratic reference agreed on "
+        f"{len(big_core)}); top-down core vs quadratic reference agreed on "
         f"100/100 random trees with n <= 2000",
     )
     assert elapsed < 5.0

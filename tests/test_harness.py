@@ -31,6 +31,7 @@ from stablecore import (
     extend_pendant_set,
     fig1_graph,
     fig5_tree,
+    is_strong_unique_independent,
     iter_corpus,
     pendant_vertices,
     random_tree,
@@ -53,9 +54,11 @@ from stablecore.harness import (
     _check_c1,
     _check_c2,
     _check_c3,
+    _check_c5,
     _check_c6,
     _check_c8,
     _check_c9,
+    _deletion_set,
     _pendant_dp_set,
     _pendants_four_apart,
     _pool_size,
@@ -116,6 +119,42 @@ def test_pendants_four_apart_matches_distance_seeded():
     sizes = SplitMix64(4040)
     for i in range(30):
         _assert_four_apart_rule(random_tree(9 + sizes.randrange(992), seed=derive_seed(4040, i)))
+
+
+def _assert_c5_distance_arm(t):
+    """All pairwise pendant distances are even iff the pendants lie on one
+    side: C5 reports that side test under both of its witness keys (with
+    its definitional arm patched out, so every tree is refuted)."""
+    pend = sorted(pendant_vertices(t))
+    even = all(distance(t, p, q) % 2 == 0 for i, p in enumerate(pend) for q in pend[i + 1:])
+    assert is_strong_unique_independent(t) == even, serialize_tree(t)
+    status, witness = _check_c5(_TreeFacts(t))
+    assert status == REFUTED
+    assert witness["pendants_on_one_side"] == witness["pendant_distances_even"] == even
+
+
+def _one_sided(t):
+    """t with a new leaf on each pendant at odd depth from vertex 0, so that
+    every pendant lies on vertex 0's side."""
+    depth = bfs_depths(t, 0)
+    odd = [p for p in sorted(pendant_vertices(t)) if depth[p] % 2]
+    return tree_from_edges(t.n + len(odd), [*t.edges, *((p, t.n + i) for i, p in enumerate(odd))])
+
+
+def test_c5_distance_arm_is_the_side_test_exhaustive(monkeypatch):
+    monkeypatch.setattr(harness, "_strong_unique_of", lambda t, core, alpha: None)
+    for n in range(2, 8):
+        for t in enumerate_labeled_trees(n):
+            _assert_c5_distance_arm(t)
+
+
+def test_c5_distance_arm_is_the_side_test_seeded(monkeypatch):
+    monkeypatch.setattr(harness, "_strong_unique_of", lambda t, core, alpha: None)
+    sizes = SplitMix64(5050)
+    for i in range(20):
+        t = random_tree(8 + sizes.randrange(143), seed=derive_seed(5050, i))
+        _assert_c5_distance_arm(t)
+        _assert_c5_distance_arm(_one_sided(t))
 
 
 def test_unknown_claim_rejected():
@@ -263,6 +302,14 @@ def test_public_top_level_names_still_resolve():
     assert missing == []
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+def test_run_suite_rejects_non_int_jobs_and_witness_limit(bad):
+    with pytest.raises(StablecoreError, match=rf"^jobs={bad!r} is not an int$"):
+        run_suite(["C7"], CORPUS_26, jobs=bad)
+    with pytest.raises(StablecoreError, match=rf"^witness_limit={bad!r} is not an int$"):
+        run_suite(["C7"], CORPUS_26, witness_limit=bad)
+
+
 def test_run_suite_rejects_bad_jobs_and_witness_limit():
     with pytest.raises(StablecoreError, match="jobs"):
         run_suite(["C7"], CORPUS_26, jobs=0)
@@ -374,6 +421,27 @@ def test_corpus_tree_rejects_indices_and_specs_outside_the_corpus():
         corpus_tree(CorpusSpec("random", 0, 3, sample_size=5, seed=1), 0)
     with pytest.raises(TooLarge):
         corpus_tree(CorpusSpec("exhaustive", 12, 12), 0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_corpus_tree_rejects_a_non_int_index(mode, bad):
+    spec = CorpusSpec(mode, 2, 5, sample_size=10, seed=1)
+    with pytest.raises(OutOfRange, match=rf"^index={bad!r} is not an int$"):
+        corpus_tree(spec, bad)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("n_min", 2.5), ("n_min", True), ("n_max", 5.0),
+    ("sample_size", 2.5), ("sample_size", True), ("seed", 1.5), ("seed", False),
+])
+def test_corpus_spec_fields_must_be_exact_ints(field, bad):
+    fields = {"mode": "random", "n_min": 2, "n_max": 5, "sample_size": 10, "seed": 1}
+    spec = CorpusSpec(**{**fields, field: bad})
+    for call in (lambda: harness.validate_corpus(spec), lambda: corpus_tree(spec, 0),
+                 lambda: harness.check_suite(["C7"], spec)):
+        with pytest.raises(StablecoreError, match=rf"^{field}={bad!r} is not an int$"):
+            call()
 
 
 def test_random_corpus_is_reproducible_and_in_range():
@@ -627,11 +695,13 @@ def test_c9_split_values_match_factor_trees():
     splits = unions = 0
     for t in _split_test_trees():
         view = _Rooted(t)
-        got = list(_bonding_splits(t, view))
+        up_in, up_ex = view.up()
+        got = list(_bonding_splits(t, view, up_in, up_ex))
         assert [(v, u) for v, u, *_ in got] == [
             (v, u) for v in range(t.n) if t.degree(v) >= 2 for u in t.adjacency[v]
         ]
         core_t = view.core()
+        deleted = _deletion_set(view, up_in, up_ex)
         for v, u, alpha1, in_core1, alpha2, in_core2 in got:
             t1, v1, map1, t2, v2, map2 = _split_at(t, v, u)
             core1, core2 = core(t1), core(t2)
@@ -641,10 +711,27 @@ def test_c9_split_values_match_factor_trees():
             if v in core_t:
                 # what C9 compares with core(T) in place of the factor union
                 union = {map1[x] for x in core1} | {map2[x] for x in core2}
-                assert view.top_down_core() == union, (serialize_tree(t), v, u)
+                assert deleted == union, (serialize_tree(t), v, u)
                 unions += 1
             splits += 1
     assert splits > 150_000 and unions > 25_000
+
+
+def test_upward_pass_runs_once_per_c9_tree_and_nowhere_else(monkeypatch):
+    calls = 0
+    up = _Rooted.up
+
+    def counted(view):
+        nonlocal calls
+        calls += 1
+        return up(view)
+
+    monkeypatch.setattr(_Rooted, "up", counted)
+    run_suite(CLAIM_IDS, CORPUS_26, jobs=1)
+    assert calls == corpus_size(CORPUS_26) - 1  # every tree but the single edge
+    calls = 0
+    run_suite([c for c in CLAIM_IDS if c != "C9"], CORPUS_26, jobs=1)
+    assert calls == 0
 
 
 def test_c9_refutations_match_reference_on_tampered_facts():

@@ -43,7 +43,7 @@ from stablecore import (
     tree_from_edges,
 )
 from stablecore.graph_model import _centers
-from stablecore.harness import fig5_tree
+from stablecore.harness import _deletion_set, fig5_tree
 from stablecore import reference
 from stablecore.reference import core_by_matching, fig1_graph, maximum_matching
 from stablecore.independence import _Rooted
@@ -433,7 +433,7 @@ def test_maximal_sets_are_maximal_and_complete(t):
 
 
 def test_core_agreement_large_random_sample():
-    # 10^4 seeded trees with sizes up to 200: rerooting core == quadratic core
+    # 10^4 seeded trees with sizes up to 200: top-down core == quadratic core
     from stablecore.graph_model import derive_seed
 
     sizes = SplitMix64(4242)
@@ -589,7 +589,7 @@ def _assert_view_matches(t, root):
     assert up_in == [ref_in[v] for v in order], where
     assert up_ex == [ref_ex[v] for v in order], where
     assert view.alpha() == ref.alpha(), where
-    assert view.core() == ref.core() == view.top_down_core(), where
+    assert view.core() == ref.core(), where
     assert view.count() == ref.count(), where
     assert view.one_set() == ref.one_set(), where
     assert view.bipartition() == ref.bipartition(), where
@@ -626,11 +626,14 @@ def test_positional_view_matches_label_reference_seeded():
 
 
 def test_top_down_core_matches_rerooting_core_on_large_trees():
-    # every labeled tree on 2..8 vertices is covered by the exhaustive test
-    # above; here seeded trees up to 10^5 vertices, from the rooted view at
-    # vertex 0 and at a drawn root
+    # the top-down core against C9's deletion set from the upward pass, and
+    # against the matching oracle; every labeled tree on 2..8 vertices is
+    # covered by the exhaustive test above, here seeded trees up to 10^5
+    # vertices, from the rooted view at vertex 0 and at a drawn root
     for n, seed in ((50, 5), (1_000, 6), (30_000, 7), (100_000, 8)):
         t = random_tree(n, seed)
+        by_matching = core_by_matching(t)
         for root in (0, SplitMix64(seed).randrange(n)):
             view = _Rooted(t, root)
-            assert view.top_down_core() == view.core() == core(t), (n, seed, root)
+            deleted = _deletion_set(view, *view.up())
+            assert view.core() == deleted == core(t) == by_matching, (n, seed, root)
