@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .bonding import vertex_bond
 from .errors import OutOfRange, ParseError, StablecoreError
-from .graph_model import Tree, tree_from_edges
+from .graph_model import Tree, _outside, _tree_from_ends, _unpacked
 from .harness import (
     CLAIM_IDS,
     CorpusSpec,
@@ -35,43 +36,88 @@ from .independence import AnalysisReport, analyze
 
 def parse_tree_text(text: str) -> Tree:
     """Parse the edge-list format. Raises ParseError with the offending 1-based
-    line number ahead of any NotATree/OutOfRange from tree validation."""
-    lines = enumerate(text.splitlines(), start=1)
-    lineno = 0
-    for lineno, raw in lines:
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        if len(fields) != 1:
-            raise ParseError(f"expected the vertex count, got {raw.strip()!r}", line=lineno)
-        try:
-            n = int(fields[0])
-        except ValueError:
-            raise ParseError(f"vertex count is not an integer: {raw.strip()!r}", line=lineno)
-        if n < 2:
-            raise ParseError(f"a tree needs at least 2 vertices, got n={n}", line=lineno)
-        return tree_from_edges(n, _edge_pairs(lines, n - 1, lineno))
-    raise ParseError("no data lines found", line=lineno or 1)
+    line number ahead of any NotATree/OutOfRange from tree validation.
 
-
-def _edge_pairs(lines: Iterator[tuple[int, str]], m: int, last: int) -> Iterator[tuple[int, int]]:
-    """The m edges in the numbered ``lines`` that follow the header line ``last``."""
-    count = 0
-    for last, raw in lines:
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        if count == m:
-            raise ParseError(f"expected {m} edges, found extra data {raw.strip()!r}", line=last)
-        if len(fields) != 2:
-            raise ParseError(f"expected an edge 'u v', got {raw.strip()!r}", line=last)
-        try:
-            yield int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"edge endpoints are not integers: {raw.strip()!r}", line=last)
-        count += 1
+    The endpoints are packed as they are read, then validated by the build
+    behind ``tree_from_edges``. The text is read a piece at a time, each
+    piece cut just after a "\n" (every line break of ``str.splitlines``
+    ends with one or holds none): the first line, which is the header in a
+    usual document, then about ``_PIECE_CHARS`` at a time. A piece of edge
+    lines written as ``format_tree_file`` writes them, ASCII digits on
+    either side of one space, is converted whole; any other, line by line.
+    """
+    n = None
+    m = count = lineno = 0
+    ends = array("Q")
+    bad = None
+    start = size = 0
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        piece = text[start:end]
+        start, size = end, _PIECE_CHARS
+        k = piece.count("\n")
+        if n is not None and count + k <= m and piece.translate(_NO_DIGITS) == " \n" * k:
+            tokens = piece.split()  # fewer than 2k if a line lacks a number
+            if len(tokens) == 2 * k:
+                try:
+                    ends.extend(map(int, tokens))
+                except OverflowError:  # past the machine range: line by line
+                    del ends[2 * count:]
+                else:
+                    count += k
+                    lineno += k
+                    continue
+        for raw in piece.splitlines():
+            lineno += 1
+            fields = raw.split()
+            if not fields or fields[0][0] == "#":
+                continue
+            if n is None:
+                n = _vertex_count(fields, raw, lineno)
+                m = n - 1
+                continue
+            if count == m:
+                raise ParseError(
+                    f"expected {m} edges, found extra data {raw.strip()!r}", line=lineno
+                )
+            if len(fields) != 2:
+                raise ParseError(f"expected an edge 'u v', got {raw.strip()!r}", line=lineno)
+            try:
+                u = int(fields[0])
+                v = int(fields[1])
+            except ValueError:
+                raise ParseError(f"edge endpoints are not integers: {raw.strip()!r}", line=lineno)
+            try:
+                ends.append(u)
+                ends.append(v)
+            except OverflowError:
+                bad = _unpacked(ends, bad, _outside(u, v, n))
+            count += 1
+    if n is None:
+        raise ParseError("no data lines found", line=lineno or 1)
     if count != m:
-        raise ParseError(f"edge count mismatch: expected {m}, found {count}", line=last)
+        raise ParseError(f"edge count mismatch: expected {m}, found {count}", line=lineno)
+    return _tree_from_ends(n, ends, bad)
+
+
+def _vertex_count(fields: list[str], raw: str, lineno: int) -> int:
+    """n from the fields of the header line ``raw``."""
+    if len(fields) != 1:
+        raise ParseError(f"expected the vertex count, got {raw.strip()!r}", line=lineno)
+    try:
+        n = int(fields[0])
+    except ValueError:
+        raise ParseError(f"vertex count is not an integer: {raw.strip()!r}", line=lineno)
+    if n < 2:
+        raise ParseError(f"a tree needs at least 2 vertices, got n={n}", line=lineno)
+    return n
+
+
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+# Characters of text split into lines at a time: a 10^6-line document split
+# whole would hold a million line strings at once.
+_PIECE_CHARS = 1 << 16
 
 
 def parse_tree_file(path: str) -> Tree:
@@ -93,10 +139,22 @@ def parse_tree_file(path: str) -> Tree:
 
 
 def format_tree_file(t: Tree) -> str:
-    """Edge-list text document; ``parse_tree_text`` inverts it exactly."""
-    lines = [str(t.n)]
-    lines.extend(f"{u} {v}" for u, v in t.edges)
-    return "\n".join(lines) + "\n"
+    """Edge-list text document; ``parse_tree_text`` inverts it exactly. The
+    edge lines are joined a block of vertices at a time, so no list of all
+    the edges or lines is built."""
+    adjacency = t.adjacency
+    blocks = [f"{t.n}\n"]
+    for start in range(0, t.n, _BLOCK_VERTICES):
+        blocks.append("".join([
+            f"{v} {w}\n"
+            for v in range(start, min(start + _BLOCK_VERTICES, t.n))
+            for w in adjacency[v] if v < w
+        ]))
+    return "".join(blocks)
+
+
+# vertices whose edge lines are joined into one string at a time
+_BLOCK_VERTICES = 1 << 12
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ sampled corpus is reproducible bit-for-bit across machines and runs.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import chain, compress, product
 from typing import Iterable, Iterator
 
-from .errors import NotATree, OutOfRange, TooLarge, TooSmall
+from .errors import NotATree, OutOfRange, StablecoreError, TooLarge, TooSmall
 
 DEFAULT_ENUMERATION_CEILING = 9
 
@@ -65,32 +66,88 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     """Validate and build a Tree from an edge list: the constructor for
     input from outside the program.
 
-    Raises TooSmall (n < 2), OutOfRange (endpoint not an exact int, a bool
-    included, or outside 0..n-1) or NotATree (wrong edge count, self-loop,
-    duplicate edge, disconnected), in that order, once ``edges`` is drained.
-    The count is checked before any per-vertex allocation, so a rejection
-    costs time and memory in the input's length, not in n. One breadth-first
-    sweep sorts and freezes each list; n-1 edges that reach all n vertices
-    hold no duplicate.
+    Raises TooSmall (n < 2), then, once ``edges`` is drained, NotATree for a
+    wrong edge count, then the error of the first bad edge: NotATree if it
+    is not a pair, OutOfRange if an endpoint is not an exact int (a bool
+    included) or is outside 0..n-1, NotATree for a self-loop, in that order
+    within an edge; then NotATree for a duplicate edge or a disconnected
+    graph. The endpoints are kept packed, two machine ints an edge.
     """
     if n < 2:
         raise TooSmall(f"a tree needs at least 2 vertices, got n={n}")
-    edges = list(edges)
-    if len(edges) != n - 1:
-        raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
+    ends = array("Q")
+    append = ends.append
+    bad = None
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            bad = _unpacked(ends, bad, NotATree(f"edge {e!r} is not a pair of endpoints"))
+            continue
         # exact ints only: a bool passes the range check and the list index,
         # but its Tree would serialize to text that no parser reads back
         if type(u) is not int or type(v) is not int:
-            raise OutOfRange(f"endpoint {v if type(u) is int else u!r} is not an int")
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise NotATree(f"self-loop at vertex {u}")
-        adj[u].append(v)
-        adj[v].append(u)
-    del edges
+            odd = v if type(u) is int else u
+            bad = _unpacked(ends, bad, OutOfRange(f"endpoint {odd!r} is not an int"))
+            continue
+        try:
+            append(u)
+            append(v)
+        except OverflowError:
+            bad = _unpacked(ends, bad, _outside(u, v, n))
+    return _tree_from_ends(n, ends, bad)
+
+
+# packed in place of an edge that cannot be packed: above every vertex
+_UNPACKED = (_MASK64, _MASK64)
+
+
+def _unpacked(
+    ends: array, bad: tuple[int, StablecoreError] | None, error: StablecoreError
+) -> tuple[int, StablecoreError]:
+    """Pack ``_UNPACKED`` for an edge that does not fit ``ends`` (a
+    half-packed endpoint is dropped). Returns ``bad``, the (edge index,
+    error) of the first such edge, or this edge's when it is the first."""
+    del ends[len(ends) & ~1:]
+    ends.extend(_UNPACKED)
+    return bad or ((len(ends) >> 1) - 1, error)
+
+
+def _outside(u: int, v: int, n: int) -> OutOfRange:
+    return OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+
+
+# endpoints cut from the packed edges at a time while the adjacency grows
+_BLOCK_ENDS = 1 << 16
+
+
+def _tree_from_ends(n: int, ends: array, bad: tuple[int, StablecoreError] | None) -> Tree:
+    """The validating build behind ``tree_from_edges`` and the edge-list
+    parser; it cuts blocks from ``ends``. Edge j is (ends[2j], ends[2j+1]), packed
+    unsigned, so a negative endpoint never packs; ``bad`` is (j, error) for
+    the first edge that did not pack, which holds ``_UNPACKED``.
+
+    The count is checked before any per-vertex allocation, so a rejection
+    costs time and memory in the input's length, not in n. Every int in the
+    Tree is taken from ``labels``, one object per vertex. The edges are
+    added from the end a block at a time, each block but the first cut from
+    ``ends`` first, so the packed endpoints shrink as the lists grow. One
+    breadth-first sweep sorts and freezes each list; n-1 edges that reach
+    all n vertices hold no duplicate.
+    """
+    if len(ends) != 2 * (n - 1):
+        raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(ends) >> 1}")
+    labels = list(range(n))
+    adj = [[] for _ in labels]
+    while len(ends) > _BLOCK_ENDS:
+        block = ends[-_BLOCK_ENDS:]
+        del ends[-_BLOCK_ENDS:]
+        if not _add_edges(adj, labels, block):
+            # the blocks after this one are good: the first bad edge is here
+            # or in what is left of ``ends``
+            raise _first_bad_edge(n, chain(ends, block), bad)
+    if not _add_edges(adj, labels, ends):
+        raise _first_bad_edge(n, ends, bad)
     seen = bytearray(n)
     seen[0] = 1
     order = [0]
@@ -110,6 +167,39 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
                     raise NotATree(f"duplicate edge ({min(v, w)},{max(v, w)})")
         raise NotATree(f"graph is disconnected ({len(order)} of {n} vertices reachable)")
     return Tree(n=n, adjacency=tuple(adj))
+
+
+def _add_edges(adj: list[list[int]], labels: list[int], ends: array) -> bool:
+    """Add the packed edges to the adjacency lists. False, with the lists
+    left partly filled, at a self-loop or an endpoint past the last vertex
+    (an IndexError)."""
+    it = iter(ends)
+    try:
+        for u, v in zip(it, it):
+            if u == v:
+                return False
+            adj[u].append(labels[v])
+            adj[v].append(labels[u])
+    except IndexError:
+        return False
+    return True
+
+
+def _first_bad_edge(
+    n: int, ends: Iterable[int], bad: tuple[int, StablecoreError] | None
+) -> StablecoreError:
+    """The error of the first bad edge of the packed ``ends``, which holds
+    one: the unpacked edge ``bad``, an endpoint outside 0..n-1, or a
+    self-loop."""
+    it = iter(ends)
+    for j, (u, v) in enumerate(zip(it, it)):
+        if bad is not None and j == bad[0]:
+            return bad[1]
+        if u >= n or v >= n:
+            return _outside(u, v, n)
+        if u == v:
+            return NotATree(f"self-loop at vertex {u}")
+    raise AssertionError("no bad edge in a rejected edge list")
 
 
 def pendant_vertices(t: Tree) -> frozenset[int]:
@@ -177,23 +267,30 @@ def prufer_decode(code: Iterable[int], n: int) -> Tree:
     lowest-numbered leaf is removed first and vertex n-1 survives to the end).
 
     Raises TooSmall (n < 2) or OutOfRange (wrong length, or an entry that
-    is not an int in 0..n-1). Every code that passes these checks decodes
-    to a tree, so the Tree is built straight from the decoded parents,
-    without the checks of ``tree_from_edges``.
+    is not an exact int in 0..n-1: a bool, which would pass as 0 or 1, is
+    refused). Every code that passes these checks decodes to a tree, so
+    the Tree is built straight from the decoded parents, without the
+    checks of ``tree_from_edges``.
     """
     if n < 2:
         raise TooSmall(f"need n >= 2, got n={n}")
     seq = list(code)
     if len(seq) != n - 2:
         raise OutOfRange(f"code length {len(seq)} != n-2 = {n - 2}")
+    for x in seq:
+        if type(x) is not int:
+            raise OutOfRange(f"code entry {x!r} is not an int")
+        if not 0 <= x < n:
+            raise OutOfRange(f"code entry {x} outside 0..{n - 1}")
+    return _decode(seq, n)
+
+
+def _decode(seq: list[int] | tuple[int, ...], n: int) -> Tree:
+    """``prufer_decode`` of a code known to be valid: the generators' own
+    codes skip the entry checks."""
     degree = [1] * n
-    try:
-        for x in seq:
-            if not 0 <= x < n:
-                raise OutOfRange(f"code entry {x} outside 0..{n - 1}")
-            degree[x] += 1
-    except TypeError:
-        raise OutOfRange(f"code entry {x!r} is not an int") from None
+    for x in seq:
+        degree[x] += 1
     child_count = [d - 1 for d in degree]
     child_count[n - 1] += 1
     # Every vertex but n-1 is removed once, as a leaf, next to its parent.
@@ -404,7 +501,7 @@ def random_tree(n: int, seed: int) -> Tree:
 
 def _prufer_draw(rng: SplitMix64, n: int) -> Tree:
     """Decode the Prufer code of n - 2 uniform draws from ``rng``."""
-    return prufer_decode(rng.draws(n, n - 2), n)
+    return _decode(rng.draws(n, n - 2), n)
 
 
 def labeled_tree_count(n: int) -> int:
@@ -418,7 +515,7 @@ def labeled_tree_at(n: int, index: int) -> Tree:
     digits = [0] * (n - 2)
     for pos in range(n - 3, -1, -1):
         index, digits[pos] = divmod(index, n)
-    return prufer_decode(digits, n)
+    return _decode(digits, n)
 
 
 def enumerate_labeled_trees(n: int) -> Iterator[Tree]:
@@ -430,4 +527,4 @@ def enumerate_labeled_trees(n: int) -> Iterator[Tree]:
     if n > DEFAULT_ENUMERATION_CEILING:
         raise TooLarge(f"n={n} exceeds the enumeration ceiling {DEFAULT_ENUMERATION_CEILING}")
     for code in product(range(n), repeat=n - 2):
-        yield prufer_decode(code, n)
+        yield _decode(code, n)

@@ -109,20 +109,28 @@ class _Rooted:
 
     def count(self) -> int:
         """Number of maximum stable sets: the DP multiplicities of each
-        subtree optimum, with its root forced in (in_cnt) or out (ex_cnt)."""
+        subtree optimum, with its root forced in (in_cnt) or out (ex_cnt).
+        Children are folded into their parents last position first, and
+        each child's counts are popped as it is folded, so only the counts
+        of subtrees still open are held: at 10^6 vertices they are ints of
+        thousands of digits."""
         down_in, down_ex = self.down_in, self.down_ex
         m = len(down_in)
         in_cnt = [1] * m
         ex_cnt = [1] * m
         i = m - 1
         for p in self.parent_at[:0:-1]:
-            in_cnt[p] *= ex_cnt[i]
-            if down_in[i] > down_ex[i]:
-                ex_cnt[p] *= in_cnt[i]
-            elif down_in[i] < down_ex[i]:
-                ex_cnt[p] *= ex_cnt[i]
+            ci = in_cnt.pop()
+            ce = ex_cnt.pop()
+            in_cnt[p] *= ce
+            di = down_in[i]
+            de = down_ex[i]
+            if di > de:
+                ex_cnt[p] *= ci
+            elif di < de:
+                ex_cnt[p] *= ce
             else:
-                ex_cnt[p] *= in_cnt[i] + ex_cnt[i]
+                ex_cnt[p] *= ci + ce
             i -= 1
         if down_in[0] > down_ex[0]:
             return in_cnt[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -87,6 +88,22 @@ def test_invalid_inputs(n, edges, err):
 def test_non_int_endpoint_is_named(bad):
     with pytest.raises(OutOfRange, match=r"^endpoint .* is not an int$"):
         tree_from_edges(3, [(0, 1), (bad, 2)])
+
+
+@pytest.mark.parametrize("bad", [(0, 1, 2), (0,), (), 5, None])
+def test_edge_that_is_not_a_pair_is_named(bad):
+    message = rf"^edge {re.escape(repr(bad))} is not a pair of endpoints$"
+    with pytest.raises(NotATree, match=message):
+        tree_from_edges(3, [bad, (1, 2)])
+    with pytest.raises(NotATree, match=message):
+        tree_from_edges(3, [(0, 1), bad])
+    # in edge order, after the edge count and before any later edge
+    with pytest.raises(NotATree, match=message):
+        tree_from_edges(4, [(0, 1), bad, (2, 2)])
+    with pytest.raises(OutOfRange, match=r"^edge \(0,7\) has an endpoint outside 0..3$"):
+        tree_from_edges(4, [(0, 7), bad, (2, 3)])
+    with pytest.raises(NotATree, match="needs 2 edges, got 3"):
+        tree_from_edges(3, [(0, 1), bad, (1, 2)])
 
 
 def test_edge_order_is_canonical():
@@ -255,6 +272,15 @@ def test_prufer_decode_examples():
             prufer_decode([entry], 3)
         with pytest.raises(OutOfRange, match="is not an int"):
             prufer_decode([0, entry, 1], 5)
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_prufer_decode_rejects_bools(entry):
+    # a bool passes the range check as 1 or 0, but is not a vertex
+    with pytest.raises(OutOfRange, match=rf"^code entry {entry} is not an int$"):
+        prufer_decode([entry], 3)
+    with pytest.raises(OutOfRange, match=rf"^code entry {entry} is not an int$"):
+        prufer_decode([0, entry, 1], 5)
 
 
 def _reference_decode(code, n):

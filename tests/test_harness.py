@@ -444,6 +444,16 @@ def test_corpus_spec_fields_must_be_exact_ints(field, bad):
             call()
 
 
+@pytest.mark.parametrize("bad", ["no", 0, 1, None])
+def test_dedup_isomorphism_must_be_a_bool(bad):
+    # "no" is true and 0 is false: read for truth, either would pick a corpus
+    spec = CorpusSpec(mode="exhaustive", n_min=4, n_max=4, dedup_isomorphism=bad)
+    for call in (lambda: harness.validate_corpus(spec), lambda: corpus_tree(spec, 0),
+                 lambda: run_suite(["C7"], spec)):
+        with pytest.raises(StablecoreError, match=rf"^dedup_isomorphism={bad!r} is not a bool$"):
+            call()
+
+
 def test_random_corpus_is_reproducible_and_in_range():
     spec = CorpusSpec(mode="random", n_min=7, n_max=31, sample_size=60, seed=42)
     a = list(iter_corpus(spec))

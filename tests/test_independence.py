@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -106,6 +108,29 @@ def test_count_examples():
     assert count_maximum_stable_sets(path(4)) == 3
     assert count_maximum_stable_sets(path(5)) == 1
     assert count_maximum_stable_sets(fig5_tree()) == 2
+
+
+def test_count_peak_memory_is_the_view_and_two_count_lists():
+    # count_maximum_stable_sets builds the rooted view, then folds each child
+    # into its parent and drops the child's counts: its peak is the view plus
+    # two count lists and the reversed parent list, 24 bytes a vertex. Kept,
+    # the counts of 2x10^5 vertices would add about 26 more.
+    t = random_tree(2 * 10**5, seed=7)
+    gc.collect()  # empties the free lists, whose objects would go untraced
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        view = _Rooted(t)
+        view_size = tracemalloc.get_traced_memory()[0] - base
+        del view
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        count = count_maximum_stable_sets(t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert count.bit_length() > 5000
+    assert peak <= view_size + 32 * t.n, (peak, view_size)
 
 
 def test_enumerate_maximum_examples():
