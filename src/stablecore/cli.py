@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .bonding import vertex_bond
 from .errors import OutOfRange, ParseError, StablecoreError
-from .graph_model import Tree, _outside, _tree_from_ends, _unpacked
+from .graph_model import Tree, _pack, _pack_whole, _tree_from_ends
 from .harness import (
     CLAIM_IDS,
     CorpusSpec,
@@ -39,7 +39,7 @@ def parse_tree_text(text: str) -> Tree:
     line number ahead of any NotATree/OutOfRange from tree validation.
 
     The endpoints are packed as they are read, then validated by the build
-    behind ``tree_from_edges``. The text is read a piece at a time, each
+    that ``tree_from_edges`` uses. The text is read a piece at a time, each
     piece cut just after a "\n" (every line break of ``str.splitlines``
     ends with one or holds none): the first line, which is the header in a
     usual document, then about ``_PIECE_CHARS`` at a time. A piece of edge
@@ -50,23 +50,26 @@ def parse_tree_text(text: str) -> Tree:
     m = count = lineno = 0
     ends = array("Q")
     bad = None
+    ints: list[int] = []  # endpoints read line by line, packed a piece at a time
+    put = ints.append
     start = size = 0
     while start < len(text):
         end = text.find("\n", start + size) + 1 or len(text)
         piece = text[start:end]
         start, size = end, _PIECE_CHARS
         k = piece.count("\n")
-        if n is not None and count + k <= m and piece.translate(_NO_DIGITS) == " \n" * k:
+        if (
+            n is not None
+            and count + k <= m
+            and piece.isascii()
+            and piece.encode().translate(None, b"0123456789") == b" \n" * k
+        ):
             tokens = piece.split()  # fewer than 2k if a line lacks a number
-            if len(tokens) == 2 * k:
-                try:
-                    ends.extend(map(int, tokens))
-                except OverflowError:  # past the machine range: line by line
-                    del ends[2 * count:]
-                else:
-                    count += k
-                    lineno += k
-                    continue
+            # past the machine range or int()'s limit on digits: line by line
+            if len(tokens) == 2 * k and _pack_whole(ends, map(int, tokens)):
+                count += k
+                lineno += k
+                continue
         for raw in piece.splitlines():
             lineno += 1
             fields = raw.split()
@@ -83,16 +86,14 @@ def parse_tree_text(text: str) -> Tree:
             if len(fields) != 2:
                 raise ParseError(f"expected an edge 'u v', got {raw.strip()!r}", line=lineno)
             try:
-                u = int(fields[0])
-                v = int(fields[1])
+                put(int(fields[0]))
+                put(int(fields[1]))
             except ValueError:
                 raise ParseError(f"edge endpoints are not integers: {raw.strip()!r}", line=lineno)
-            try:
-                ends.append(u)
-                ends.append(v)
-            except OverflowError:
-                bad = _unpacked(ends, bad, _outside(u, v, n))
             count += 1
+        if ints:
+            bad = _pack(ends, ints, n, bad)
+            ints.clear()
     if n is None:
         raise ParseError("no data lines found", line=lineno or 1)
     if count != m:
@@ -112,8 +113,6 @@ def _vertex_count(fields: list[str], raw: str, lineno: int) -> int:
         raise ParseError(f"a tree needs at least 2 vertices, got n={n}", line=lineno)
     return n
 
-
-_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 # Characters of text split into lines at a time: a 10^6-line document split
 # whole would hold a million line strings at once.

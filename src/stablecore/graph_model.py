@@ -71,46 +71,74 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     is not a pair, OutOfRange if an endpoint is not an exact int (a bool
     included) or is outside 0..n-1, NotATree for a self-loop, in that order
     within an edge; then NotATree for a duplicate edge or a disconnected
-    graph. The endpoints are kept packed, two machine ints an edge.
+    graph. The endpoints are gathered into one flat list for the build
+    that the edge-list parser shares.
     """
     if n < 2:
         raise TooSmall(f"a tree needs at least 2 vertices, got n={n}")
-    ends = array("Q")
-    append = ends.append
+    ends: list[int] = []
+    put = ends.append
     bad = None
     for e in edges:
         try:
             u, v = e
         except (TypeError, ValueError):
-            bad = _unpacked(ends, bad, NotATree(f"edge {e!r} is not a pair of endpoints"))
-            continue
-        # exact ints only: a bool passes the range check and the list index,
-        # but its Tree would serialize to text that no parser reads back
-        if type(u) is not int or type(v) is not int:
-            odd = v if type(u) is int else u
-            bad = _unpacked(ends, bad, OutOfRange(f"endpoint {odd!r} is not an int"))
-            continue
-        try:
-            append(u)
-            append(v)
-        except OverflowError:
-            bad = _unpacked(ends, bad, _outside(u, v, n))
+            error = NotATree(f"edge {e!r} is not a pair of endpoints")
+        else:
+            # exact ints only: a bool passes the range check and the list
+            # index, but its Tree would serialize to text that no parser
+            # reads back
+            if type(u) is not int or type(v) is not int:
+                error = OutOfRange(f"endpoint {v if type(u) is int else u!r} is not an int")
+            elif u < 0 or v < 0:
+                error = _outside(u, v, n)
+            else:
+                put(u)
+                put(v)
+                continue
+        bad = _add_bad_edge(ends, bad, error)
     return _tree_from_ends(n, ends, bad)
 
 
-# packed in place of an edge that cannot be packed: above every vertex
-_UNPACKED = (_MASK64, _MASK64)
+# held in place of a bad edge whose endpoints are not kept: above every vertex
+_BAD_EDGE = (_MASK64, _MASK64)
 
 
-def _unpacked(
-    ends: array, bad: tuple[int, StablecoreError] | None, error: StablecoreError
+def _add_bad_edge(
+    ends: list[int] | array, bad: tuple[int, StablecoreError] | None, error: StablecoreError
 ) -> tuple[int, StablecoreError]:
-    """Pack ``_UNPACKED`` for an edge that does not fit ``ends`` (a
-    half-packed endpoint is dropped). Returns ``bad``, the (edge index,
-    error) of the first such edge, or this edge's when it is the first."""
-    del ends[len(ends) & ~1:]
-    ends.extend(_UNPACKED)
+    """Add ``_BAD_EDGE`` to ``ends`` in place of a bad edge. Returns
+    ``bad``, the (edge index, error) of the first such edge, or this edge's
+    when it is the first."""
+    ends.extend(_BAD_EDGE)
     return bad or ((len(ends) >> 1) - 1, error)
+
+
+def _pack_whole(ends: array, ints: Iterable[int]) -> bool:
+    """Pack the endpoints ``ints`` onto ``ends`` if every one converts and
+    packs; otherwise pack none and return False."""
+    start = len(ends)
+    try:
+        ends.extend(ints)
+    except (OverflowError, ValueError):
+        del ends[start:]
+        return False
+    return True
+
+
+def _pack(
+    ends: array, ints: list[int], n: int, bad: tuple[int, StablecoreError] | None
+) -> tuple[int, StablecoreError] | None:
+    """Pack the edges (u0, v0, u1, v1, ...) of ``ints`` onto ``ends``, an
+    edge that does not pack (a negative endpoint included) as ``_BAD_EDGE``,
+    whose error is raised only after the edge count. Returns ``bad`` as
+    ``_add_bad_edge`` does."""
+    if not _pack_whole(ends, ints):
+        it = iter(ints)
+        for u, v in zip(it, it):
+            if not _pack_whole(ends, (u, v)):
+                bad = _add_bad_edge(ends, bad, _outside(u, v, n))
+    return bad
 
 
 def _outside(u: int, v: int, n: int) -> OutOfRange:
@@ -121,11 +149,13 @@ def _outside(u: int, v: int, n: int) -> OutOfRange:
 _BLOCK_ENDS = 1 << 16
 
 
-def _tree_from_ends(n: int, ends: array, bad: tuple[int, StablecoreError] | None) -> Tree:
+def _tree_from_ends(
+    n: int, ends: list[int] | array, bad: tuple[int, StablecoreError] | None
+) -> Tree:
     """The validating build behind ``tree_from_edges`` and the edge-list
-    parser; it cuts blocks from ``ends``. Edge j is (ends[2j], ends[2j+1]), packed
-    unsigned, so a negative endpoint never packs; ``bad`` is (j, error) for
-    the first edge that did not pack, which holds ``_UNPACKED``.
+    parser; it cuts blocks from ``ends``. Edge j is (ends[2j], ends[2j+1]),
+    no endpoint negative; ``bad`` is (j, error) for the first edge that
+    holds ``_BAD_EDGE``.
 
     The count is checked before any per-vertex allocation, so a rejection
     costs time and memory in the input's length, not in n. Every int in the

@@ -52,7 +52,7 @@ from __future__ import annotations
 import os
 from bisect import insort
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import compress
 from multiprocessing import get_context
 from operator import itemgetter
@@ -161,49 +161,31 @@ def fig5_tree() -> Tree:
 # Per-tree facts, computed lazily and shared between claims
 
 
-class _filled_on_first_use:
-    """A fact computed on first access and stored as a plain instance
-    attribute, which shadows this descriptor from then on. It is
-    ``functools.cached_property`` without the lock that Python 3.10 and
-    3.11 take on every first access."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, facts, owner=None):
-        if facts is None:
-            return self
-        value = facts.__dict__[self.name] = self.compute(facts)
-        return value
-
-
 class _TreeFacts:
     def __init__(self, tree: Tree):
         self.tree = tree
         self.rooted = _Rooted(tree)
         self.alpha = self.rooted.alpha()
 
-    @_filled_on_first_use
+    @cached_property
     def core(self) -> frozenset[int]:
         return self.rooted.core()
 
-    @_filled_on_first_use
+    @cached_property
     def pend(self) -> frozenset[int]:
         return pendant_vertices(self.tree)
 
-    @_filled_on_first_use
+    @cached_property
     def bip(self) -> Bipartition:
         return self.rooted.bipartition()
 
-    @_filled_on_first_use
+    @cached_property
     def free(self) -> int:
         """alpha(T - P): the size of the largest stable set with no pendant
         member."""
         return _pendant_dp(self, lonely=False)[0]
 
-    @_filled_on_first_use
+    @cached_property
     def lonely(self) -> int:
         """The size of the largest lonely stable set, in which no pendant
         member has another member at distance two (n >= 3)."""

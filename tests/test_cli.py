@@ -212,11 +212,12 @@ def _traced(fn):
 def test_parse_peak_memory_is_at_most_twice_the_tree():
     # the endpoints are packed, two machine ints an edge, and cut away as the
     # adjacency lists grow; no list of pairs or of lines is built (1.57 to
-    # 1.60 on Python 3.10 to 3.13, 1.81 with a list of edge tuples)
+    # 1.60 on Python 3.10 to 3.13, 1.81 with a list of edge tuples; the
+    # bound leaves room for other interpreter builds)
     text = format_tree_file(random_tree(10**5, seed=3))
     t, kept, peak = _traced(lambda: parse_tree_text(text))
     assert t.n == 10**5
-    assert peak <= 1.65 * kept, (peak, kept)
+    assert peak <= 1.75 * kept, (peak, kept)
 
 
 def test_parsed_tree_holds_one_int_object_per_vertex():
@@ -242,11 +243,11 @@ def test_endpoint_past_the_machine_range_is_out_of_range(end):
     # such an endpoint does not pack: it is reported as the edge it is on,
     # after any parse error and after the edge count, before a later edge
     name = f"^edge \\(1,{end}\\) has an endpoint outside 0..3$"
-    for text in (f"4\n0 1\n1 {end}\n2 3\n", f"4\n0 1\n1 {end}\n2 2\n"):
+    for last in ((2, 3), (2, 2)):
         with pytest.raises(OutOfRange, match=name):
-            parse_tree_text(text)
+            parse_tree_text(f"4\n0 1\n1 {end}\n{last[0]} {last[1]}\n")
         with pytest.raises(OutOfRange, match=name):
-            tree_from_edges(4, [(0, 1), (1, int(end)), (2, 3)])
+            tree_from_edges(4, [(0, 1), (1, int(end)), last])
     with pytest.raises(NotATree, match="self-loop at vertex 0"):
         parse_tree_text(f"4\n0 0\n1 {end}\n2 3\n")
     with pytest.raises(ParseError) as exc:
@@ -259,6 +260,16 @@ def test_endpoint_past_the_machine_range_is_out_of_range(end):
         tree_from_edges(4, [(0, 1), (1, int(end))])
 
 
+def test_endpoint_past_the_digit_limit_is_a_parse_error():
+    # int() refuses more than 4,300 digits by default: the line is reported
+    # as an edge whose endpoints are not integers, as by the reference
+    doc = "3\n0 1\n1 " + "9" * 5000 + "\n"
+    with pytest.raises(ParseError, match="edge endpoints are not integers") as exc:
+        parse_tree_text(doc)
+    assert exc.value.line == 3
+    assert _parse_outcome(parse_tree_text, doc) == _parse_outcome(_reference_parse, doc)
+
+
 def test_parse_reads_a_long_document_piece_by_piece():
     # 20,000 lines span several pieces of text; the line numbers of errors
     # and every spelling follow the whole document, as in the reference
@@ -268,8 +279,9 @@ def test_parse_reads_a_long_document_piece_by_piece():
             + "\n# a comment\n\n" + "\n".join(lines[9000:]) + "\n"]
     for doc in docs:
         assert parse_tree_text(doc) == t
+    # an endpoint of 5,000 digits is past int()'s default limit on digits
     for i, bad in [(15000, "x y"), (18000, "3 20000"), (19000, "7 7"), (12000, "5"),
-                   (19999, f"{lines[19999]} 4"), (16000, " 1 2")]:
+                   (19999, f"{lines[19999]} 4"), (16000, " 1 2"), (17000, "1 " + "9" * 5000)]:
         doc = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
         assert _parse_outcome(parse_tree_text, doc) == _parse_outcome(_reference_parse, doc), bad
     doc = "\n".join(lines + lines[1:2]) + "\n"
