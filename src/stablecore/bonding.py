@@ -72,6 +72,7 @@ def spider(k: int) -> Tree:
     The hub has degree k and lies in the core together with the k outer
     leg tips; the stability number is k + 1.
     """
+    _check_int("k", k)
     if k < 1:
         raise TooSmall(f"need k >= 1, got k={k}")
     edges = [(0, i) for i in range(1, k + 1)]

@@ -17,12 +17,13 @@ import json
 import sys
 from array import array
 from dataclasses import asdict
+from operator import eq
 from pathlib import Path
 from typing import Iterable
 
 from .bonding import vertex_bond
 from .errors import OutOfRange, ParseError, StablecoreError
-from .graph_model import Tree, _pack, _pack_whole, _tree_from_ends
+from .graph_model import Tree, _edge_error, _tree_from_ends
 from .harness import (
     CLAIM_IDS,
     CorpusSpec,
@@ -38,38 +39,30 @@ def parse_tree_text(text: str) -> Tree:
     """Parse the edge-list format. Raises ParseError with the offending 1-based
     line number ahead of any NotATree/OutOfRange from tree validation.
 
-    The endpoints are packed as they are read, then validated by the build
-    that ``tree_from_edges`` uses. The text is read a piece at a time, each
-    piece cut just after a "\n" (every line break of ``str.splitlines``
-    ends with one or holds none): the first line, which is the header in a
-    usual document, then about ``_PIECE_CHARS`` at a time. A piece of edge
-    lines written as ``format_tree_file`` writes them, ASCII digits on
-    either side of one space, is converted whole; any other, line by line.
+    Each edge is checked when it is read, by ``_edge_error`` as in
+    ``tree_from_edges``, and the first bad edge's error is raised once the
+    whole text has parsed and the edge count holds. The good edges'
+    endpoints are packed into an unsigned ``array`` (two machine ints an
+    edge) for the build that ``tree_from_edges`` uses. The text is read a
+    piece at a time, each piece cut just after a "\n" (every line break of
+    ``str.splitlines`` ends with one or holds none): the first line, which
+    is the header in a usual document, then about ``_PIECE_CHARS`` at a
+    time. A piece is converted whole if ``_whole_piece`` takes it, else
+    read line by line.
     """
-    n = None
+    n = bad = None
     m = count = lineno = 0
-    ends = array("Q")
-    bad = None
-    ints: list[int] = []  # endpoints read line by line, packed a piece at a time
-    put = ints.append
     start = size = 0
     while start < len(text):
         end = text.find("\n", start + size) + 1 or len(text)
         piece = text[start:end]
         start, size = end, _PIECE_CHARS
         k = piece.count("\n")
-        if (
-            n is not None
-            and count + k <= m
-            and piece.isascii()
-            and piece.encode().translate(None, b"0123456789") == b" \n" * k
-        ):
-            tokens = piece.split()  # fewer than 2k if a line lacks a number
-            # past the machine range or int()'s limit on digits: line by line
-            if len(tokens) == 2 * k and _pack_whole(ends, map(int, tokens)):
-                count += k
-                lineno += k
-                continue
+        if n is not None and count + k <= m and (block := _whole_piece(piece, k, n)):
+            ends.extend(block)
+            count += k
+            lineno += k
+            continue
         for raw in piece.splitlines():
             lineno += 1
             fields = raw.split()
@@ -78,6 +71,10 @@ def parse_tree_text(text: str) -> Tree:
             if n is None:
                 n = _vertex_count(fields, raw, lineno)
                 m = n - 1
+                # no text holds 2^64 edge lines: the count check rejects a
+                # larger n, so its endpoints need not fit the array
+                ends = array("Q") if n <= 1 << 64 else []
+                put = ends.append
                 continue
             if count == m:
                 raise ParseError(
@@ -86,19 +83,39 @@ def parse_tree_text(text: str) -> Tree:
             if len(fields) != 2:
                 raise ParseError(f"expected an edge 'u v', got {raw.strip()!r}", line=lineno)
             try:
-                put(int(fields[0]))
-                put(int(fields[1]))
+                u = int(fields[0])
+                v = int(fields[1])
             except ValueError:
                 raise ParseError(f"edge endpoints are not integers: {raw.strip()!r}", line=lineno)
             count += 1
-        if ints:
-            bad = _pack(ends, ints, n, bad)
-            ints.clear()
+            if (error := _edge_error(u, v, n)) is None:
+                put(u)
+                put(v)
+            bad = bad or error
     if n is None:
         raise ParseError("no data lines found", line=lineno or 1)
     if count != m:
         raise ParseError(f"edge count mismatch: expected {m}, found {count}", line=lineno)
-    return _tree_from_ends(n, ends, bad)
+    if bad:
+        raise bad
+    return _tree_from_ends(n, ends)
+
+
+def _whole_piece(piece: str, k: int, n: int) -> list[int] | None:
+    """The endpoints of the k edge lines of ``piece`` if each line is written
+    as ``format_tree_file`` writes it, ASCII digits on either side of one
+    space, every endpoint is in 0..n-1 and no edge is a self-loop; else
+    None, and the piece is read line by line."""
+    if not piece.isascii() or piece.encode().translate(None, b"0123456789") != b" \n" * k:
+        return None
+    try:
+        ints = list(map(int, piece.split()))  # fewer than 2k if a line lacks a number
+    except ValueError:  # past int()'s limit on digits
+        return None
+    it = iter(ints)
+    if len(ints) != 2 * k or max(ints) >= n or any(map(eq, it, it)):
+        return None
+    return ints
 
 
 def _vertex_count(fields: list[str], raw: str, lineno: int) -> int:
@@ -120,12 +137,10 @@ _PIECE_CHARS = 1 << 16
 
 
 def parse_tree_file(path: str) -> Tree:
-    """``parse_tree_text`` of a file, or of stdin for "-". A file that
-    cannot be read, or is not UTF-8, raises ParseError too."""
-    if path == "-":
-        return parse_tree_text(sys.stdin.read())
+    """``parse_tree_text`` of a file, or of stdin's bytes for "-". Input
+    that cannot be read, or is not UTF-8, raises ParseError too."""
     try:
-        data = Path(path).read_bytes()
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", line=None) from None
     try:

@@ -6,9 +6,12 @@ exactly n-1 edges, and is connected. It stores only its adjacency: its
 Vertex deletion into forests is a test oracle and lives in ``reference``.
 Trees come from two constructors: ``tree_from_edges`` fully validates an
 edge list from outside, and ``prufer_decode`` builds the tree of a checked
-Prufer code directly, since every such code is a tree. Labeled trees are
-generated and enumerated through the Prufer bijection, and compared up to
-isomorphism through an AHU parenthesis encoding rooted at the tree center.
+Prufer code directly, since every such code is a tree. Each edge is
+checked as it is read, by ``_edge_error``, which the edge-list parser in
+``cli`` shares; ``_tree_from_ends`` builds the tree of the checked edges
+for both. Labeled trees are generated and enumerated through the Prufer
+bijection, and compared up to isomorphism through an AHU parenthesis
+encoding rooted at the tree center.
 
 Randomness comes from an explicit SplitMix64 generator so that every
 sampled corpus is reproducible bit-for-bit across machines and runs.
@@ -16,11 +19,10 @@ sampled corpus is reproducible bit-for-bit across machines and runs.
 
 from __future__ import annotations
 
-from array import array
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain, compress, product
-from typing import Iterable, Iterator
+from itertools import compress, product
+from typing import Iterable, Iterator, MutableSequence
 
 from .errors import NotATree, OutOfRange, StablecoreError, TooLarge, TooSmall
 
@@ -64,22 +66,23 @@ class Bipartition:
 
 def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     """Validate and build a Tree from an edge list: the constructor for
-    input from outside the program.
+    input from outside the program. Each edge is checked as it is read.
 
-    Raises TooSmall (n < 2), then, once ``edges`` is drained, NotATree for a
-    wrong edge count, then the error of the first bad edge: NotATree if it
-    is not a pair, OutOfRange if an endpoint is not an exact int (a bool
-    included) or is outside 0..n-1, NotATree for a self-loop, in that order
-    within an edge; then NotATree for a duplicate edge or a disconnected
-    graph. The endpoints are gathered into one flat list for the build
-    that the edge-list parser shares.
+    Raises OutOfRange unless n is an exact int, TooSmall (n < 2), then,
+    once ``edges`` is drained, NotATree for a wrong edge count, then the
+    error of the first bad edge: NotATree if it is not a pair, OutOfRange
+    if an endpoint is not an exact int (a bool included), else that of
+    ``_edge_error``; then NotATree for a duplicate edge or a disconnected
+    graph. The count is checked before anything is allocated per vertex.
     """
+    _check_int("n", n)
     if n < 2:
         raise TooSmall(f"a tree needs at least 2 vertices, got n={n}")
     ends: list[int] = []
     put = ends.append
     bad = None
-    for e in edges:
+    count = 0
+    for count, e in enumerate(edges, 1):
         try:
             u, v = e
         except (TypeError, ValueError):
@@ -90,94 +93,53 @@ def tree_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
             # reads back
             if type(u) is not int or type(v) is not int:
                 error = OutOfRange(f"endpoint {v if type(u) is int else u!r} is not an int")
-            elif u < 0 or v < 0:
-                error = _outside(u, v, n)
-            else:
+            elif (error := _edge_error(u, v, n)) is None:
                 put(u)
                 put(v)
                 continue
-        bad = _add_bad_edge(ends, bad, error)
-    return _tree_from_ends(n, ends, bad)
+        bad = bad or error
+    if count != n - 1:
+        raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {count}")
+    if bad:
+        raise bad
+    return _tree_from_ends(n, ends)
 
 
-# held in place of a bad edge whose endpoints are not kept: above every vertex
-_BAD_EDGE = (_MASK64, _MASK64)
+def _edge_error(u: int, v: int, n: int) -> StablecoreError | None:
+    """The error of the edge (u, v) in a tree on n vertices, which both
+    readers of edges check as they read: OutOfRange for an endpoint outside
+    0..n-1, NotATree for a self-loop, None for neither."""
+    if not (0 <= u < n and 0 <= v < n):
+        return OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+    if u == v:
+        return NotATree(f"self-loop at vertex {u}")
+    return None
 
 
-def _add_bad_edge(
-    ends: list[int] | array, bad: tuple[int, StablecoreError] | None, error: StablecoreError
-) -> tuple[int, StablecoreError]:
-    """Add ``_BAD_EDGE`` to ``ends`` in place of a bad edge. Returns
-    ``bad``, the (edge index, error) of the first such edge, or this edge's
-    when it is the first."""
-    ends.extend(_BAD_EDGE)
-    return bad or ((len(ends) >> 1) - 1, error)
-
-
-def _pack_whole(ends: array, ints: Iterable[int]) -> bool:
-    """Pack the endpoints ``ints`` onto ``ends`` if every one converts and
-    packs; otherwise pack none and return False."""
-    start = len(ends)
-    try:
-        ends.extend(ints)
-    except (OverflowError, ValueError):
-        del ends[start:]
-        return False
-    return True
-
-
-def _pack(
-    ends: array, ints: list[int], n: int, bad: tuple[int, StablecoreError] | None
-) -> tuple[int, StablecoreError] | None:
-    """Pack the edges (u0, v0, u1, v1, ...) of ``ints`` onto ``ends``, an
-    edge that does not pack (a negative endpoint included) as ``_BAD_EDGE``,
-    whose error is raised only after the edge count. Returns ``bad`` as
-    ``_add_bad_edge`` does."""
-    if not _pack_whole(ends, ints):
-        it = iter(ints)
-        for u, v in zip(it, it):
-            if not _pack_whole(ends, (u, v)):
-                bad = _add_bad_edge(ends, bad, _outside(u, v, n))
-    return bad
-
-
-def _outside(u: int, v: int, n: int) -> OutOfRange:
-    return OutOfRange(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-
-
-# endpoints cut from the packed edges at a time while the adjacency grows
+# endpoints cut from ``ends`` at a time while the adjacency grows
 _BLOCK_ENDS = 1 << 16
 
 
-def _tree_from_ends(
-    n: int, ends: list[int] | array, bad: tuple[int, StablecoreError] | None
-) -> Tree:
-    """The validating build behind ``tree_from_edges`` and the edge-list
-    parser; it cuts blocks from ``ends``. Edge j is (ends[2j], ends[2j+1]),
-    no endpoint negative; ``bad`` is (j, error) for the first edge that
-    holds ``_BAD_EDGE``.
+def _tree_from_ends(n: int, ends: MutableSequence[int]) -> Tree:
+    """The build behind both readers: the Tree of n-1 checked edges, edge j
+    being (ends[2j], ends[2j+1]). Raises NotATree only for a duplicate edge
+    or a disconnected graph. ``ends`` is emptied.
 
-    The count is checked before any per-vertex allocation, so a rejection
-    costs time and memory in the input's length, not in n. Every int in the
-    Tree is taken from ``labels``, one object per vertex. The edges are
-    added from the end a block at a time, each block but the first cut from
-    ``ends`` first, so the packed endpoints shrink as the lists grow. One
-    breadth-first sweep sorts and freezes each list; n-1 edges that reach
-    all n vertices hold no duplicate.
+    Every int in the Tree is taken from ``labels``, one object per vertex.
+    The edges are added a block at a time, each cut from the end of
+    ``ends``, so the endpoints shrink as the lists grow. One breadth-first
+    sweep sorts and freezes each list; n-1 edges that reach all n vertices
+    hold no duplicate.
     """
-    if len(ends) != 2 * (n - 1):
-        raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(ends) >> 1}")
     labels = list(range(n))
     adj = [[] for _ in labels]
-    while len(ends) > _BLOCK_ENDS:
+    while ends:
         block = ends[-_BLOCK_ENDS:]
         del ends[-_BLOCK_ENDS:]
-        if not _add_edges(adj, labels, block):
-            # the blocks after this one are good: the first bad edge is here
-            # or in what is left of ``ends``
-            raise _first_bad_edge(n, chain(ends, block), bad)
-    if not _add_edges(adj, labels, ends):
-        raise _first_bad_edge(n, ends, bad)
+        it = iter(block)
+        for u, v in zip(it, it):
+            adj[u].append(labels[v])
+            adj[v].append(labels[u])
     seen = bytearray(n)
     seen[0] = 1
     order = [0]
@@ -197,39 +159,6 @@ def _tree_from_ends(
                     raise NotATree(f"duplicate edge ({min(v, w)},{max(v, w)})")
         raise NotATree(f"graph is disconnected ({len(order)} of {n} vertices reachable)")
     return Tree(n=n, adjacency=tuple(adj))
-
-
-def _add_edges(adj: list[list[int]], labels: list[int], ends: array) -> bool:
-    """Add the packed edges to the adjacency lists. False, with the lists
-    left partly filled, at a self-loop or an endpoint past the last vertex
-    (an IndexError)."""
-    it = iter(ends)
-    try:
-        for u, v in zip(it, it):
-            if u == v:
-                return False
-            adj[u].append(labels[v])
-            adj[v].append(labels[u])
-    except IndexError:
-        return False
-    return True
-
-
-def _first_bad_edge(
-    n: int, ends: Iterable[int], bad: tuple[int, StablecoreError] | None
-) -> StablecoreError:
-    """The error of the first bad edge of the packed ``ends``, which holds
-    one: the unpacked edge ``bad``, an endpoint outside 0..n-1, or a
-    self-loop."""
-    it = iter(ends)
-    for j, (u, v) in enumerate(zip(it, it)):
-        if bad is not None and j == bad[0]:
-            return bad[1]
-        if u >= n or v >= n:
-            return _outside(u, v, n)
-        if u == v:
-            return NotATree(f"self-loop at vertex {u}")
-    raise AssertionError("no bad edge in a rejected edge list")
 
 
 def pendant_vertices(t: Tree) -> frozenset[int]:
@@ -302,6 +231,7 @@ def prufer_decode(code: Iterable[int], n: int) -> Tree:
     the Tree is built straight from the decoded parents, without the
     checks of ``tree_from_edges``.
     """
+    _check_int("n", n)
     if n < 2:
         raise TooSmall(f"need n >= 2, got n={n}")
     seq = list(code)
@@ -524,6 +454,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 def random_tree(n: int, seed: int) -> Tree:
     """Uniform random labeled tree on n vertices: a uniform Prufer code, decoded."""
+    _check_int("n", n)
+    _check_int("seed", seed)
     if n < 2:
         raise TooSmall(f"need n >= 2, got n={n}")
     return _prufer_draw(SplitMix64(seed), n)
@@ -552,6 +484,7 @@ def enumerate_labeled_trees(n: int) -> Iterator[Tree]:
     """Yield every labeled tree on n vertices exactly once (n^(n-2) of them),
     in lexicographic Prufer-code order. Raises TooLarge above
     DEFAULT_ENUMERATION_CEILING vertices."""
+    _check_int("n", n)
     if n < 2:
         raise TooSmall(f"need n >= 2, got n={n}")
     if n > DEFAULT_ENUMERATION_CEILING:

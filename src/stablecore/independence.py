@@ -19,7 +19,9 @@ from itertools import compress
 from typing import Iterable
 
 from .errors import LimitExceeded, NotPendant, NotStable, TooLarge
-from .graph_model import Bipartition, Tree, _bfs_order, _parity_sides, bipartition, pendant_vertices
+from .graph_model import (
+    Bipartition, Tree, _bfs_order, _check_int, _parity_sides, bipartition, pendant_vertices,
+)
 
 BRUTE_FORCE_CEILING = 30
 
@@ -258,6 +260,8 @@ def extend_pendant_set(t: Tree, a: Iterable[int]) -> frozenset[int]:
     swapping the two keeps S maximum and strictly grows the overlap with a.
     """
     members = frozenset(a)
+    for v in members:
+        _check_int("a", v)
     pend = pendant_vertices(t)
     stray = members - pend
     if stray:

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import random
 import re
@@ -288,6 +289,44 @@ def test_parse_reads_a_long_document_piece_by_piece():
     assert _parse_outcome(parse_tree_text, doc) == _parse_outcome(_reference_parse, doc)
 
 
+def test_first_bad_edge_wins_across_whole_and_line_by_line_pieces():
+    # one bad edge in a piece otherwise in format_tree_file's form, and one
+    # in a piece that holds a comment or CRLF line ends, in either order:
+    # the first in the document is reported, as by the reference
+    lines = format_tree_file(random_tree(20000, seed=13)).splitlines()
+    errors = {"5 5": "self-loop at vertex 5",
+              "3 20000": "edge (3,20000) has an endpoint outside 0..19999"}
+    for first, second in [("5 5", "3 20000"), ("3 20000", "5 5")]:
+        edited = lines[:2000] + [first] + lines[2001:15000] + [second] + lines[15001:]
+
+        def noted(i):
+            # a comment on either side: the piece that holds line i holds one
+            return "\n".join(edited[:i] + ["# note", edited[i], "# note"] + edited[i + 1:]) + "\n"
+
+        docs = [
+            noted(2000),
+            noted(15000),
+            # pieces hold about 5,000 lines of this tree: CRLF in the first
+            # 2,001 lines or from line 12,000 on reaches only one of the two
+            "\r\n".join(edited[:2001]) + "\r\n" + "\n".join(edited[2001:]) + "\n",
+            "\n".join(edited[:12000]) + "\n" + "\r\n".join(edited[12000:]) + "\r\n",
+        ]
+        for doc in docs:
+            expected = _parse_outcome(_reference_parse, doc)
+            assert expected[1] == errors[first]
+            assert _parse_outcome(parse_tree_text, doc) == expected
+
+
+def test_vertex_count_past_the_machine_range_is_an_edge_count_mismatch():
+    # endpoints up to n-1 are good edges but do not fit a machine int; no
+    # such tree fits in memory, and the edge count is reported
+    big = 1 << 64
+    for doc in (f"{big + 1}\n0 {big}\n", f"{big + 1}\n0 {big}\n# c\n", f"{big}\n0 {big - 1}\n"):
+        expected = _parse_outcome(_reference_parse, doc)
+        assert expected[0] is ParseError and "edge count mismatch" in expected[1]
+        assert _parse_outcome(parse_tree_text, doc) == expected
+
+
 # ---------------------------------------------------------------------------
 # reports and DOT
 
@@ -393,6 +432,28 @@ def test_non_utf8_file_exits_two(tmp_path, capsys):
     with pytest.raises(ParseError) as exc:
         parse_tree_file(str(f))
     assert exc.value.line == 3 and "not UTF-8" in str(exc.value)
+
+
+def test_non_utf8_stdin_exits_two_like_a_file(tmp_path, monkeypatch, capsys):
+    # stdin is read as bytes and decoded as a file is, whatever the locale
+    data = b"2\n0 1\n# \xff\n"
+    f = tmp_path / "latin.txt"
+    f.write_bytes(data)
+
+    def stdin(raw):
+        # a text stream that would decode the bytes without complaint
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="latin-1"))
+
+    for name in (str(f), "-"):
+        stdin(data)
+        assert main(["analyze", name]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+        stdin(data)
+        with pytest.raises(ParseError, match="is not UTF-8 text") as exc:
+            parse_tree_file(name)
+        assert exc.value.line == 3
+    stdin(b"3\r\n0 1\r\n1 2\r\n")
+    assert parse_tree_file("-") == path(3)
 
 
 def test_unwritable_output_exits_one(tmp_path, capsys):

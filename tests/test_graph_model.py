@@ -21,10 +21,12 @@ from stablecore import (
     delete_vertices,
     distance,
     enumerate_labeled_trees,
+    extend_pendant_set,
     pendant_vertices,
     prufer_decode,
     prufer_encode,
     random_tree,
+    spider,
     tree_from_edges,
     tree_from_serialization,
 )
@@ -104,6 +106,30 @@ def test_edge_that_is_not_a_pair_is_named(bad):
         tree_from_edges(4, [(0, 7), bad, (2, 3)])
     with pytest.raises(NotATree, match="needs 2 edges, got 3"):
         tree_from_edges(3, [(0, 1), bad, (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: tree_from_edges("3", [(0, 1), (1, 2)]), "n", "3"),
+        (lambda: tree_from_edges(2.5, [(0, 1)]), "n", 2.5),
+        (lambda: random_tree(2.5, 1), "n", 2.5),
+        (lambda: random_tree(10, 1.5), "seed", 1.5),
+        (lambda: prufer_decode([], 2.0), "n", 2.0),
+        (lambda: list(enumerate_labeled_trees(2.5)), "n", 2.5),
+        (lambda: spider(2.0), "k", 2.0),
+        (lambda: spider(True), "k", True),
+        (lambda: extend_pendant_set(path(3), [2.0]), "a", 2.0),
+    ],
+    ids=["tree_from_edges-str", "tree_from_edges-float", "random_tree-n", "random_tree-seed",
+         "prufer_decode", "enumerate_labeled_trees", "spider-float", "spider-bool",
+         "extend_pendant_set"],
+)
+def test_sizes_seeds_and_vertices_must_be_exact_ints(call, name, value):
+    # a float or str fails deep inside as a raw TypeError, and a bool passes
+    # as 0 or 1: each is refused up front, naming the argument
+    with pytest.raises(OutOfRange, match=rf"^{name}={re.escape(repr(value))} is not an int$"):
+        call()
 
 
 def test_edge_order_is_canonical():
