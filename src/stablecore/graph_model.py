@@ -163,7 +163,7 @@ def _tree_from_ends(n: int, ends: MutableSequence[int]) -> Tree:
 
 def pendant_vertices(t: Tree) -> frozenset[int]:
     """Vertices of degree exactly 1. Every tree has at least two."""
-    return frozenset(v for v in range(t.n) if len(t.adjacency[v]) == 1)
+    return frozenset([v for v, a in enumerate(t.adjacency) if len(a) == 1])
 
 
 def bipartition(t: Tree) -> Bipartition:
@@ -179,9 +179,14 @@ def _parity_sides(order: list[int], parent_at: list[int]) -> Bipartition:
     for p in parent_at[1:]:
         odd[i] = odd[p] ^ 1
         i += 1
+    return _sides(order, odd)
+
+
+def _sides(order: list[int], odd: bytearray) -> Bipartition:
+    """The Bipartition of a breadth-first order whose depth parity at
+    position i is ``odd[i]``."""
     return Bipartition(
-        a=frozenset(compress(order, odd.translate(_FLIP))),
-        b=frozenset(compress(order, odd)),
+        frozenset(compress(order, odd.translate(_FLIP))), frozenset(compress(order, odd))
     )
 
 
@@ -409,6 +414,7 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        _check_int("seed", seed)
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -425,7 +431,14 @@ class SplitMix64:
         """``count`` uniform draws from 0..bound-1: each is the next
         ``next_u64`` output below the largest multiple of bound up to 2^64,
         reduced mod bound. The limit is computed once and ``next_u64`` is
-        inlined, which matters at a million draws."""
+        inlined, which matters at a million draws. Raises OutOfRange unless
+        bound >= 1 and count >= 0 are exact ints."""
+        _check_int("bound", bound)
+        _check_int("count", count)
+        if bound < 1:
+            raise OutOfRange(f"bound={bound} < 1")
+        if count < 0:
+            raise OutOfRange(f"count={count} < 0")
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
         state = self.state
         out = [0] * count
@@ -448,6 +461,8 @@ def derive_seed(seed: int, index: int) -> int:
     Pure function of (seed, index); lets corpus items be regenerated
     independently and in any order.
     """
+    _check_int("seed", seed)
+    _check_int("index", index)
     g = SplitMix64((seed & _MASK64) ^ (((index + 1) * 0xD1342543DE82EF95) & _MASK64))
     return g.next_u64()
 
@@ -467,7 +482,11 @@ def _prufer_draw(rng: SplitMix64, n: int) -> Tree:
 
 
 def labeled_tree_count(n: int) -> int:
-    """Cayley's count of labeled trees on n vertices."""
+    """Cayley's count of labeled trees on n vertices. Raises OutOfRange
+    unless n is an exact int, and TooSmall for n < 2."""
+    _check_int("n", n)
+    if n < 2:
+        raise TooSmall(f"need n >= 2, got n={n}")
     return n ** (n - 2)
 
 

@@ -2,13 +2,15 @@
 
 Each claim is a total function of a single tree with three outcomes: it
 holds, it is refuted (with a re-checkable witness), or its hypothesis does
-not apply. Every checker reads only the per-tree facts. E1, the one
-measurement that enumerates maximal stable sets, raises ScaleExceeded on
-trees above SCAN_CEILING (16) vertices; the corpus runner records those
-trees as skipped. Corpora are pure functions of their spec: the runner hands
-each worker a slice of corpus indices (with isomorphism dedup, of the kept
-ones), the worker rebuilds those trees, and so any worker count produces the
-same verdicts.
+not apply. Every checker reads only the per-tree facts, and a table names
+the families of facts each claim reads: a run builds each tree's facts
+once, before its first claim, and only the families its claims read (the
+fact plan). E1, the one measurement that enumerates maximal stable sets,
+raises ScaleExceeded on trees above SCAN_CEILING (16) vertices; the corpus
+runner records those trees as skipped. Corpora are pure functions of their
+spec: the runner hands each worker a slice of corpus indices (with
+isomorphism dedup, of the kept ones), the worker rebuilds those trees, and
+so any worker count produces the same verdicts.
 
 Registry:
 
@@ -52,16 +54,15 @@ from __future__ import annotations
 import os
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import compress
 from multiprocessing import get_context
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import OutOfRange, ParseError, ScaleExceeded, StablecoreError, TooLarge, TooSmall
 from .graph_model import (
     DEFAULT_ENUMERATION_CEILING,
-    Bipartition,
     SplitMix64,
     Tree,
     _check_int,
@@ -158,60 +159,77 @@ def fig5_tree() -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# Per-tree facts, computed lazily and shared between claims
+# Per-tree facts, built once per tree for the claims of a run
+
+
+# the families of per-tree facts, besides ``rooted`` and ``alpha``, which
+# every tree gets
+_FAMILIES = frozenset({"core", "pend", "bip", "free", "lonely"})
+
+_NEG_INF = float("-inf")
 
 
 class _TreeFacts:
-    def __init__(self, tree: Tree):
+    """The facts of one tree that the claims of a run read, each built once,
+    in ``__init__``: ``rooted`` (the shared rooted view) and ``alpha``
+    always, and of the families in ``_FAMILIES`` those in ``reads`` (by
+    default all of them). ``_READS`` names the families each claim reads.
+    A family left out stays an unset slot, so a checker that reads a family
+    missing from its claim's entry fails with an AttributeError.
+
+    ``core`` and ``bip`` (the sides) come from one top-down pass when both
+    are read. ``free`` is alpha(T - P), the size of the largest stable set
+    with no pendant member, and ``lonely`` the size of the largest lonely
+    stable set, in which no pendant member has another member at distance
+    two (n >= 3); one pendant DP sweep gives both, and each is built from
+    ``pend``, so a claim that reads either reads ``pend``."""
+
+    __slots__ = ("tree", "rooted", "alpha", "core", "pend", "bip", "free", "lonely")
+
+    def __init__(self, tree: Tree, reads: AbstractSet[str] = _FAMILIES):
         self.tree = tree
-        self.rooted = _Rooted(tree)
-        self.alpha = self.rooted.alpha()
-
-    @cached_property
-    def core(self) -> frozenset[int]:
-        return self.rooted.core()
-
-    @cached_property
-    def pend(self) -> frozenset[int]:
-        return pendant_vertices(self.tree)
-
-    @cached_property
-    def bip(self) -> Bipartition:
-        return self.rooted.bipartition()
-
-    @cached_property
-    def free(self) -> int:
-        """alpha(T - P): the size of the largest stable set with no pendant
-        member."""
-        return _pendant_dp(self, lonely=False)[0]
-
-    @cached_property
-    def lonely(self) -> int:
-        """The size of the largest lonely stable set, in which no pendant
-        member has another member at distance two (n >= 3)."""
-        return _pendant_dp(self, lonely=True)[0]
+        self.rooted = view = _Rooted(tree)
+        self.alpha = view.alpha()
+        if "core" in reads and "bip" in reads:
+            self.core, self.bip = view.core_and_sides()
+        elif "core" in reads:
+            self.core = view.core()
+        elif "bip" in reads:
+            self.bip = view.bipartition()
+        if "pend" in reads:
+            self.pend = pendant_vertices(tree)
+        lonely = "lonely" in reads
+        if lonely or "free" in reads:
+            free, lonely_size, _ = _pendant_dp(tree, self.pend, view, lonely)
+            if "free" in reads:
+                self.free = free
+            if lonely:
+                self.lonely = lonely_size
 
 
-def _pendant_dp(facts: _TreeFacts, lonely: bool):
-    """Downward DP over the shared rooted view with the pendants left out,
-    for the largest lonely stable set S, or with ``lonely`` false the
-    largest one with no pendant member, alpha(T - P).
+def _pendant_dp(t: Tree, pend: frozenset[int], view: _Rooted, lonely: bool):
+    """Downward DP over the rooted view ``view`` of t with the pendants
+    ``pend`` left out. One sweep gives alpha(T - P), the size of the largest
+    stable set with no pendant member, and with ``lonely`` the size of the
+    largest lonely stable set S, else None.
 
     Per non-pendant position i, the optimum over its subtree and its
     pendants with it in S (take[i]), with one of its pendants in S and so
     neither it nor a non-pendant neighbor (hang[i], only allowed for a
-    lonely set), or with neither (skip[i]). The tables are indexed by
-    breadth-first position, as the view's are. Returns the size, and the
-    non-pendant positions with the tables."""
-    t = facts.tree
-    pend = facts.pend
-    order, parent_at = facts.rooted.order, facts.rooted.parent_at
+    lonely set), or with neither (skip[i]). A set with no pendant member
+    has take and skip tables of its own, and every hang of it is -inf. The
+    tables are indexed by breadth-first position, as the view's are.
+    Returns the two sizes, and the non-pendant positions with the tables
+    (take, hang, skip) of the lonely set with ``lonely``, else of the set
+    with no pendant member."""
+    order, parent_at = view.order, view.parent_at
     inner = [i for i, v in enumerate(order) if v not in pend]
     if not inner:  # the single edge: T - P is empty
-        return 0, None
+        return 0, 0 if lonely else None, None
     take = [1] * t.n
-    hang = [float("-inf")] * t.n
     skip = [0] * t.n
+    hang = [_NEG_INF] * t.n
+    free_take, free_skip = (take[:], skip[:]) if lonely else (take, skip)
     if lonely:
         # a pendant hangs on its parent; a pendant root on its one child,
         # which sits at position 1
@@ -221,20 +239,27 @@ def _pendant_dp(facts: _TreeFacts, lonely: bool):
     # every non-pendant but the first has a non-pendant parent
     for i in inner[:0:-1]:
         p = parent_at[i]
-        ti, hi, si = take[i], hang[i], skip[i]
-        take[p] += si
-        hang[p] += hi if hi > si else si
-        skip[p] += max(ti, hi, si)
+        ti, si = free_take[i], free_skip[i]
+        free_take[p] += si
+        free_skip[p] += ti if ti > si else si
+        if lonely:
+            ti, hi, si = take[i], hang[i], skip[i]
+            take[p] += si
+            hs = hi if hi > si else si
+            hang[p] += hs
+            skip[p] += ti if ti > hs else hs
     r = inner[0]
-    return max(take[r], hang[r], skip[r]), (inner, take, hang, skip)
+    free = max(free_take[r], free_skip[r])
+    most = max(take[r], hang[r], skip[r]) if lonely else None
+    return free, most, (inner, take, hang, skip)
 
 
 def _pendant_dp_set(facts: _TreeFacts, lonely: bool) -> list[int]:
     """The members of a set of the size ``_pendant_dp`` finds, top-down:
     each vertex takes its best state among those its parent's state allows
     (after take only skip, after hang no take)."""
-    _, (inner, take, hang, skip) = _pendant_dp(facts, lonely)
-    tables = (take, hang, skip)
+    pend = facts.pend
+    _, _, (inner, *tables) = _pendant_dp(facts.tree, pend, facts.rooted, lonely)
     allowed = ((2,), (1, 2), (0, 1, 2))
     adjacency = facts.tree.adjacency
     order, parent_at = facts.rooted.order, facts.rooted.parent_at
@@ -245,7 +270,7 @@ def _pendant_dp_set(facts: _TreeFacts, lonely: bool) -> list[int]:
         if k == 0:
             members.append(order[i])
         elif k == 1:
-            members.append(min(w for w in adjacency[order[i]] if w in facts.pend))
+            members.append(min(w for w in adjacency[order[i]] if w in pend))
     return sorted(members)
 
 
@@ -539,15 +564,25 @@ _CHECKERS = {
     "C13": _check_c13, "E1": _check_e1,
 }
 
+# the fact families each claim reads, witness included (see _TreeFacts)
+_READS = {
+    "C1": {"pend", "free"}, "C2": {"pend", "lonely"}, "C3": {"pend", "free"},
+    "C4": {"pend", "bip"}, "C5": {"core", "pend", "bip"}, "C6": {"pend", "bip", "lonely"},
+    "C7": {"core"}, "C8": {"pend"}, "C9": {"core"}, "C10": {"core", "pend"},
+    "C11": {"core", "pend"}, "C12": {"core", "pend", "bip"}, "C13": {"core"},
+    "E1": {"pend", "bip"},
+}
+
 CLAIM_IDS = tuple(_CHECKERS)
 
 
 def check_tree(claim: str, t: Tree) -> ClaimResult:
-    """Evaluate one claim on one tree. Raises ScaleExceeded when the claim
-    is E1 and the tree has more than SCAN_CEILING vertices."""
+    """Evaluate one claim on one tree, building only the facts it reads.
+    Raises ScaleExceeded when the claim is E1 and the tree has more than
+    SCAN_CEILING vertices."""
     if claim not in _CHECKERS:
         raise StablecoreError(f"unknown claim {claim!r}; valid: {', '.join(CLAIM_IDS)}")
-    status, witness = _CHECKERS[claim](_TreeFacts(t))
+    status, witness = _CHECKERS[claim](_TreeFacts(t, _READS[claim]))
     if callable(witness):
         witness = witness()
     return ClaimResult(claim=claim, tree=serialize_tree(t), status=status, witness=witness)
@@ -600,7 +635,9 @@ def corpus_tree(spec: CorpusSpec, index: int) -> Tree:
     if spec.mode == "exhaustive" and index >= 0:
         rest = index
         for n in range(spec.n_min, spec.n_max + 1):
-            block = labeled_tree_count(n)
+            # labeled_tree_count(n) without its argument check, which
+            # validate_corpus made for every n here: this runs per tree
+            block = n ** (n - 2)
             if rest < block:
                 return labeled_tree_at(n, rest)
             rest -= block
@@ -635,16 +672,18 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[Tree]:
 
 
 def _process_chunk(payload):
-    """Counts and witnesses of one chunk. Each claim keeps its witnesses as
+    """Counts and witnesses of one chunk, each tree's facts built for the
+    union of the claims' reads. Each claim keeps its witnesses as
     (key, result) pairs sorted by the canonical key (n, serialization), and
     with a limit only the first ``witness_limit``. A tree's key is computed
     once, when a claim first gives it a witness; an unbuilt witness is
     built only if it is kept."""
     spec, indices, claims, witness_limit = payload
     stats = {c: [0, 0, 0, []] for c in claims}
+    reads = frozenset().union(*[_READS[c] for c in claims])
     for i in indices:
         t = corpus_tree(spec, i)
-        facts = _TreeFacts(t)
+        facts = _TreeFacts(t, reads)
         key = None
         for c in claims:
             entry = stats[c]

@@ -3,8 +3,9 @@
 The core (vertices common to every maximum stable set) takes two passes
 over one rooted traversal: a downward pass collects per-subtree optima with
 the subtree root forced in or out, and a top-down pass puts each vertex in
-every, some or no maximum stable set. The upward pass, which gives the
-stability number of T - v for every v, serves claim C9 alone.
+every, some or no maximum stable set; where the bipartition is wanted too,
+the same pass takes each vertex's depth parity. The upward pass, which
+gives the stability number of T - v for every v, serves claim C9 alone.
 
 The one scan left here is Bron-Kerbosch over the maximal stable sets, which
 the measurement E1 runs on small trees. The independent reference paths
@@ -20,7 +21,8 @@ from typing import Iterable
 
 from .errors import LimitExceeded, NotPendant, NotStable, TooLarge
 from .graph_model import (
-    Bipartition, Tree, _bfs_order, _check_int, _parity_sides, bipartition, pendant_vertices,
+    Bipartition, Tree, _bfs_order, _check_int, _parity_sides, _sides, bipartition,
+    pendant_vertices,
 )
 
 BRUTE_FORCE_CEILING = 30
@@ -88,18 +90,28 @@ class _Rooted:
         return up_in, up_ex
 
     def core(self) -> frozenset[int]:
-        """The vertices in every maximum stable set: a top-down pass puts
-        each vertex in every (2), some (1) or no (0) maximum stable set.
+        """The vertices in every maximum stable set (see ``core_and_sides``)."""
+        return self.core_and_sides(False)[0]
+
+    def core_and_sides(self, sides: bool = True) -> tuple[frozenset[int], Bipartition | None]:
+        """The core and, with ``sides``, the bipartition (else None), from
+        one top-down pass. It puts each vertex in every (2), some (1) or no
+        (0) maximum stable set, and the core is the vertices in every set.
         Where the parent is in none, the subtree is optimal on its own, so
         the root and such a child follow their own down_in against down_ex;
         a child of a vertex in every set is in none; a child of a vertex in
-        some is in none if down_in < down_ex, else in some."""
+        some is in none if down_in < down_ex, else in some. The sides are
+        the depth parities, side ``a`` holding the root."""
         down_in, down_ex = self.down_in, self.down_ex
-        state = bytearray(len(down_in))
+        m = len(down_in)
+        state = bytearray(m)
+        odd = bytearray(m) if sides else None
         di, de = down_in[0], down_ex[0]
         state[0] = 2 if di > de else di == de
         i = 1
         for p in self.parent_at[1:]:
+            if sides:
+                odd[i] = odd[p] ^ 1
             sp = state[p]
             if sp == 0:
                 di, de = down_in[i], down_ex[i]
@@ -107,7 +119,8 @@ class _Rooted:
             elif sp == 1:
                 state[i] = down_in[i] >= down_ex[i]
             i += 1
-        return frozenset(compress(self.order, state.translate(_IN_EVERY)))
+        core = frozenset(compress(self.order, state.translate(_IN_EVERY)))
+        return core, _sides(self.order, odd) if sides else None
 
     def count(self) -> int:
         """Number of maximum stable sets: the DP multiplicities of each
@@ -332,9 +345,8 @@ def analyze(t: Tree) -> AnalysisReport:
     traversal."""
     view = _Rooted(t)
     a = view.alpha()
-    core_set = view.core()
+    core_set, sides = view.core_and_sides()
     pend = pendant_vertices(t)
-    sides = view.bipartition()
     return AnalysisReport(
         n=t.n,
         alpha=a,

@@ -19,9 +19,11 @@ from stablecore import (
     bipartition,
     canonical_form,
     delete_vertices,
+    derive_seed,
     distance,
     enumerate_labeled_trees,
     extend_pendant_set,
+    labeled_tree_count,
     pendant_vertices,
     prufer_decode,
     prufer_encode,
@@ -120,16 +122,46 @@ def test_edge_that_is_not_a_pair_is_named(bad):
         (lambda: spider(2.0), "k", 2.0),
         (lambda: spider(True), "k", True),
         (lambda: extend_pendant_set(path(3), [2.0]), "a", 2.0),
+        (lambda: SplitMix64(1.5), "seed", 1.5),
+        (lambda: SplitMix64(1).randrange(2.0), "bound", 2.0),
+        (lambda: SplitMix64(1).draws(5, 1.0), "count", 1.0),
+        (lambda: derive_seed(1.5, 0), "seed", 1.5),
+        (lambda: derive_seed(1, 0.5), "index", 0.5),
+        (lambda: labeled_tree_count(2.5), "n", 2.5),
     ],
     ids=["tree_from_edges-str", "tree_from_edges-float", "random_tree-n", "random_tree-seed",
          "prufer_decode", "enumerate_labeled_trees", "spider-float", "spider-bool",
-         "extend_pendant_set"],
+         "extend_pendant_set", "SplitMix64-seed", "randrange-bound", "draws-count",
+         "derive_seed-seed", "derive_seed-index", "labeled_tree_count"],
 )
 def test_sizes_seeds_and_vertices_must_be_exact_ints(call, name, value):
     # a float or str fails deep inside as a raw TypeError, and a bool passes
     # as 0 or 1: each is refused up front, naming the argument
     with pytest.raises(OutOfRange, match=rf"^{name}={re.escape(repr(value))} is not an int$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SplitMix64(1).randrange(0), "bound=0 < 1"),
+        (lambda: SplitMix64(1).draws(0, 3), "bound=0 < 1"),
+        (lambda: SplitMix64(1).draws(-2, 0), "bound=-2 < 1"),
+        (lambda: SplitMix64(1).draws(5, -1), "count=-1 < 0"),
+    ],
+    ids=["randrange-0", "draws-bound-0", "draws-bound-negative", "draws-count-negative"],
+)
+def test_draw_bounds_and_counts_out_of_range(call, message):
+    # randrange(0) divided by zero, and these draws returned [] without a word
+    with pytest.raises(OutOfRange, match=rf"^{re.escape(message)}$"):
+        call()
+
+
+def test_labeled_tree_count_needs_two_vertices():
+    assert [labeled_tree_count(n) for n in range(2, 7)] == [1, 3, 16, 125, 1296]
+    for n in (1, 0, -1):
+        with pytest.raises(TooSmall, match=rf"^need n >= 2, got n={n}$"):
+            labeled_tree_count(n)
 
 
 def test_edge_order_is_canonical():

@@ -59,6 +59,7 @@ from stablecore.harness import (
     _check_c8,
     _check_c9,
     _deletion_set,
+    _pendant_dp,
     _pendant_dp_set,
     _pendants_four_apart,
     _pool_size,
@@ -744,6 +745,77 @@ def test_upward_pass_runs_once_per_c9_tree_and_nowhere_else(monkeypatch):
     assert calls == 0
 
 
+# ---------------------------------------------------------------------------
+# the fact plan: each tree's facts, built once for the claims of the run
+
+_PLAN_CORPORA = {
+    "exhaustive-2-7": CorpusSpec(mode="exhaustive", n_min=2, n_max=7),
+    "random-8-40": CorpusSpec(mode="random", n_min=8, n_max=40, sample_size=300, seed=1717),
+}
+
+
+@pytest.mark.parametrize("name", list(_PLAN_CORPORA))
+def test_each_claim_alone_gives_its_verdict_from_the_all_claims_run(name):
+    # a claim run alone gets only the families its entry in the table names,
+    # so a checker reading another one fails here with an AttributeError
+    spec = _PLAN_CORPORA[name]
+    together = run_suite(CLAIM_IDS, spec, jobs=1)
+    assert [v.claim for v in together] == list(CLAIM_IDS)
+    for verdict in together:
+        assert run_suite([verdict.claim], spec, jobs=1) == [verdict], verdict.claim
+
+
+def test_a_family_left_out_of_the_plan_is_an_unset_slot():
+    facts = _TreeFacts(fig5_tree(), frozenset({"core"}))
+    assert facts.core == core(fig5_tree()) and facts.alpha == alpha(fig5_tree())
+    for family in ("pend", "bip", "free", "lonely"):
+        with pytest.raises(AttributeError):
+            getattr(facts, family)
+
+
+def _spy_on_fact_builders(monkeypatch):
+    """Patch the builders of the fact families to record each call: the
+    pendant set, the sides on their own, the top-down pass (with or
+    without sides) and the pendant DP (with or without the lonely set)."""
+    built = []
+
+    def spy(owner, name, label):
+        real = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            built.append(label(*args, **kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    spy(harness, "pendant_vertices", lambda t: "pend")
+    spy(_Rooted, "bipartition", lambda view: "sides")
+    spy(_Rooted, "core_and_sides",
+        lambda view, sides=True: "core+sides" if sides else "core")
+    spy(harness, "_pendant_dp",
+        lambda t, pend, view, lonely: "free+lonely" if lonely else "free")
+    return built
+
+
+_RANDOM_200_CLAIMS = ["C3", "C4", "C5", "C7", "C10", "C11", "C12", "C13"]
+
+
+@pytest.mark.parametrize("claims, per_tree", [
+    (["C7"], ["core"]),
+    (_RANDOM_200_CLAIMS, ["core+sides", "pend", "free"]),
+    (["C4", "E1"], ["sides", "pend"]),
+    (["C2"], ["pend", "free+lonely"]),
+    (list(CLAIM_IDS), ["core+sides", "pend", "free+lonely"]),
+], ids=["C7", "random-200", "C4-E1", "C2", "all"])
+def test_each_tree_builds_the_families_its_claims_read_once(monkeypatch, claims, per_tree):
+    built = _spy_on_fact_builders(monkeypatch)
+    for spec in (CORPUS_26, CorpusSpec(mode="random", n_min=20, n_max=60, sample_size=40, seed=9)):
+        built.clear()
+        run_suite(claims, spec, jobs=1)
+        # no claim here is refuted on a tree the witness would rebuild a DP for
+        assert built == per_tree * corpus_size(spec), claims
+
+
 def test_c9_refutations_match_reference_on_tampered_facts():
     laws = set()
     for n in range(2, 7):
@@ -879,8 +951,12 @@ def _compare_with_scan(facts, refuted):
 
 
 def _with(t, pend, bip=None):
+    """t's facts with the pendants ``pend`` (and the sides ``bip``) in place
+    of its own, and free and lonely recomputed from them by the DP that
+    ``_TreeFacts`` runs."""
     facts = _TreeFacts(t)
     facts.pend = frozenset(pend)
+    facts.free, facts.lonely, _ = _pendant_dp(t, facts.pend, facts.rooted, lonely=True)
     if bip is not None:
         facts.bip = bip
     return facts
