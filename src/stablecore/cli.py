@@ -28,7 +28,10 @@ from .harness import (
     CLAIM_IDS,
     CorpusSpec,
     Verdict,
+    _kept_indices,
     check_suite,
+    corpus_size,
+    corpus_tree,
     iter_corpus,
     run_suite,
 )
@@ -273,23 +276,26 @@ def _cmd_gen(args) -> int:
         sample_size=args.count, seed=args.seed, dedup_isomorphism=args.dedup_iso,
     )
     try:
-        trees = list(iter_corpus(spec))
+        corpus_size(spec)  # validates the spec before any output
     except StablecoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # each document is written as it is built; none is kept
     if args.out is None or args.out == "-":
-        sys.stdout.write("\n".join(format_tree_file(t) for t in trees))
+        for k, t in enumerate(iter_corpus(spec)):
+            sys.stdout.write(("\n" if k else "") + format_tree_file(t))
         return 0
     out_dir = path = Path(args.out)
-    width = max(5, len(str(max(len(trees) - 1, 0))))
+    indices = _kept_indices(spec)
+    width = max(5, len(str(max(len(indices) - 1, 0))))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, t in enumerate(trees):
-            path = out_dir / f"tree_{i:0{width}d}.txt"
-            path.write_text(format_tree_file(t), encoding="utf-8")
+        for k, i in enumerate(indices):
+            path = out_dir / f"tree_{k:0{width}d}.txt"
+            path.write_text(format_tree_file(corpus_tree(spec, i)), encoding="utf-8")
     except OSError as exc:
         return _cannot_write(path, exc)
-    print(f"wrote {len(trees)} trees to {out_dir}")
+    print(f"wrote {len(indices)} trees to {out_dir}")
     return 0
 
 

@@ -5,12 +5,13 @@ holds, it is refuted (with a re-checkable witness), or its hypothesis does
 not apply. Every checker reads only the per-tree facts, and a table names
 the families of facts each claim reads: a run builds each tree's facts
 once, before its first claim, and only the families its claims read (the
-fact plan). E1, the one measurement that enumerates maximal stable sets,
-raises ScaleExceeded on trees above SCAN_CEILING (16) vertices; the corpus
-runner records those trees as skipped. Corpora are pure functions of their
-spec: the runner hands each worker a slice of corpus indices (with
-isomorphism dedup, of the kept ones), the worker rebuilds those trees, and
-so any worker count produces the same verdicts.
+fact plan). E1, the one measurement that lists every maximal stable set
+(from the shared rooted view), raises ScaleExceeded on trees above
+SCAN_CEILING (16) vertices; the corpus runner records those trees as
+skipped. Corpora are pure functions of their spec: the runner hands each
+worker a slice of corpus indices (with isomorphism dedup, of the kept
+ones), the worker rebuilds those trees, and so any worker count produces
+the same verdicts.
 
 Registry:
 
@@ -54,10 +55,10 @@ from __future__ import annotations
 import os
 from bisect import insort
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import compress
 from multiprocessing import get_context
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import AbstractSet, Iterable, Iterator
 
 from .errors import OutOfRange, ParseError, ScaleExceeded, StablecoreError, TooLarge, TooSmall
@@ -75,10 +76,7 @@ from .graph_model import (
     tree_from_edges,
 )
 from .independence import (
-    _extend_pendants,
-    _Rooted,
-    _strong_unique_of,
-    enumerate_maximal_stable_sets,
+    _extend_pendants, _mask_to_set, _maximal_masks, _Rooted, _strong_unique_of,
 )
 
 # E1 enumerates all maximal stable sets and refuses trees above this size;
@@ -531,12 +529,12 @@ def _e1_measurement(facts: _TreeFacts) -> dict:
     if k2 not in ks:
         ks.append(k2)
     pend = facts.pend
-    maximal = enumerate_maximal_stable_sets(t, limit=1 << 20)
+    maximal = _maximal_masks(facts.rooted)
     measurements = []
     for k in sorted(ks):
-        of_size = [s for s in maximal if len(s) == k]
+        of_size = [m for m in maximal if m.bit_count() == k]
         if of_size:
-            inter = frozenset.intersection(*of_size)
+            inter = _mask_to_set(reduce(and_, of_size))
             measurements.append({
                 "k": k,
                 "num_sets": len(of_size),
@@ -715,13 +713,18 @@ def _process_chunk(payload):
     return stats
 
 
-def _chunk_payloads(spec, claims, witness_limit):
-    """One payload per _CHUNK corpus indices: all of them, or with dedup
-    only the kept ones; each worker rebuilds its trees from the indices."""
+def _kept_indices(spec: CorpusSpec) -> range | list[int]:
+    """The indices of the trees ``_kept`` yields: every corpus index, or with
+    dedup a list of the kept ones (finding them builds every tree once)."""
     if spec.dedup_isomorphism:
-        indices = [i for i, _ in _kept(spec)]
-    else:
-        indices = range(corpus_size(spec))
+        return [i for i, _ in _kept(spec)]
+    return range(corpus_size(spec))
+
+
+def _chunk_payloads(spec, claims, witness_limit):
+    """One payload per _CHUNK kept corpus indices; each worker rebuilds its
+    trees from the indices."""
+    indices = _kept_indices(spec)
     return [(spec, indices[start:start + _CHUNK], claims, witness_limit)
             for start in range(0, len(indices), _CHUNK)]
 

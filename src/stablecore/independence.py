@@ -7,10 +7,11 @@ every, some or no maximum stable set; where the bipartition is wanted too,
 the same pass takes each vertex's depth parity. The upward pass, which
 gives the stability number of T - v for every v, serves claim C9 alone.
 
-The one scan left here is Bron-Kerbosch over the maximal stable sets, which
-the measurement E1 runs on small trees. The independent reference paths
-(the quadratic core, the subset-scan oracle, explicit enumeration of the
-maximum stable sets) live in ``reference``, which nothing here imports.
+The maximal stable sets, which the measurement E1 reads on small trees,
+are listed by one bottom-up combination over the same rooted view. The
+independent reference paths (the quadratic core, the subset-scan oracle
+and its maximal-set filter, explicit enumeration of the maximum stable
+sets) live in ``reference``, which nothing here imports.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
-from .errors import LimitExceeded, NotPendant, NotStable, TooLarge
+from .errors import LimitExceeded, NotPendant, NotStable, OutOfRange, TooLarge
 from .graph_model import (
     Bipartition, Tree, _bfs_order, _check_int, _parity_sides, _sides, bipartition,
     pendant_vertices,
@@ -207,49 +208,42 @@ def count_maximum_stable_sets(t: Tree) -> int:
 
 
 def enumerate_maximal_stable_sets(t: Tree, limit: int) -> list[frozenset[int]]:
-    """All inclusion-maximal stable sets (Bron-Kerbosch with pivoting on the
-    complement graph), sorted by their sorted member tuples."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    """All inclusion-maximal stable sets, sorted by their sorted member
+    tuples; LimitExceeded (carrying the count) when more than ``limit``."""
+    _check_limit(limit)
     n = t.n
     if n > BRUTE_FORCE_CEILING:
         raise TooLarge(f"n={n} exceeds the brute-force ceiling {BRUTE_FORCE_CEILING}")
-    full = (1 << n) - 1
-    adj = [sum(1 << w for w in a) for a in t.adjacency]
-    nonadj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
-    found: list[int] = []
-
-    def grow(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            found.append(r)
-            return
-        px = p | x
-        pivot = -1
-        pivot_score = -1
-        m = px
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            score = (nonadj[u] & p).bit_count()
-            if score > pivot_score:
-                pivot_score = score
-                pivot = u
-        cand = p & ~nonadj[pivot]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            grow(r | low, p & nonadj[v], x & nonadj[v])
-            p &= ~low
-            x |= low
-
-    grow(0, full, 0)
+    found = _maximal_masks(_Rooted(t))
     if len(found) > limit:
         raise LimitExceeded(
             f"{len(found)} maximal stable sets exceed limit {limit}", count=len(found)
         )
     return sorted((_mask_to_set(m) for m in found), key=lambda s: tuple(sorted(s)))
+
+
+def _check_limit(limit) -> None:
+    """Raise OutOfRange unless ``limit`` is an exact int >= 1."""
+    _check_int("limit", limit)
+    if limit < 1:
+        raise OutOfRange(f"limit={limit} < 1")
+
+
+def _maximal_masks(view: _Rooted) -> list[int]:
+    """The maximal stable sets of the view's tree, the stable dominating
+    sets (Wilf 1986), as unordered bitmasks of labels. Each position lists
+    its subtree's sets with its vertex in (ins), out beside a child in
+    (held), or out with no child in (bare: its parent must be in); each
+    child is folded into its parent, last position first, and popped."""
+    ins = [[1 << v] for v in view.order]
+    held = [[] for _ in ins]
+    bare = [[0] for _ in ins]
+    for p in view.parent_at[:0:-1]:
+        ci, ch, cb = ins.pop(), held.pop(), bare.pop()  # the child's lists
+        held[p] = [s | x for x in ci + ch for s in held[p]] + [s | x for x in ci for s in bare[p]]
+        ins[p] = [s | x for x in ch + cb for s in ins[p]]
+        bare[p] = [s | x for x in ch for s in bare[p]]
+    return ins[0] + held[0]
 
 
 def _mask_to_set(m: int) -> frozenset[int]:

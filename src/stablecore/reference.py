@@ -4,8 +4,9 @@ The production modules (graph_model, independence, harness, cli, bonding,
 errors) decide every verdict and import nothing from here; this module
 imports what it needs from them. It holds vertex deletion into forests, a
 quadratic per-deletion core, a matching-based core, an exhaustive bitmask
-oracle for graphs that need not be trees, explicit enumeration of the
-maximum stable sets, and the non-tree figure fixture.
+oracle for graphs that need not be trees, with its filter of the maximal
+stable sets, explicit enumeration of the maximum stable sets, and the
+non-tree figure fixture.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyResult, LimitExceeded, OutOfRange, StablecoreError, TooLarge
 from .graph_model import Tree, tree_from_edges
-from .independence import BRUTE_FORCE_CEILING, _mask_to_set, _Rooted, alpha
+from .independence import BRUTE_FORCE_CEILING, _check_limit, _mask_to_set, _Rooted, alpha
 
 
 @dataclass(frozen=True)
@@ -251,6 +252,13 @@ def stable_masks(g: SmallGraph) -> list[int]:
     return out
 
 
+def maximal_stable_masks(g: SmallGraph) -> list[int]:
+    """The stable subsets of g to which no vertex can be added (each vertex
+    is in the set or has a neighbor there), in increasing numeric order."""
+    closed = [(1 << v) | a for v, a in enumerate(g.adjacency_masks)]
+    return [m for m in stable_masks(g) if all(c & m for c in closed)]
+
+
 def _stable_masks_direct(g: SmallGraph) -> Iterator[int]:
     """All stable subsets of g, each tested on its own: no 2^n table, so it
     serves sizes above ``stable_masks``' cap (slow, but within contract)."""
@@ -305,8 +313,7 @@ def enumerate_maximum_stable_sets(t: Tree, limit: int) -> list[frozenset[int]]:
     vertex's subtree. Unmarked states are never built: a vertex that every
     maximum stable set contains can have an out-state with 2^k sets.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    _check_limit(limit)
     view = _Rooted(t)
     count = view.count()
     if count > limit:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import random
@@ -237,6 +238,28 @@ def test_format_peak_memory_is_at_most_three_times_its_output():
     t = random_tree(10**5, seed=3)
     text, _, peak = _traced(lambda: format_tree_file(t))
     assert peak <= 3 * len(text), (peak, len(text))
+
+
+class _Sink:
+    """A stdout that keeps only a digest of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+
+
+def test_gen_writes_each_document_as_it_is_built(monkeypatch):
+    # the 16,807 documents of --n 7 are neither listed nor joined (a traced
+    # peak of 11 MiB when they were); the bytes are those of one join
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code, _, peak = _traced(lambda: main(["gen", "--exhaustive", "--n", "7", "--out", "-"]))
+    assert code == 0
+    assert peak < 2 << 20, peak
+    joined = "\n".join(format_tree_file(t) for t in enumerate_labeled_trees(7))
+    assert sink.digest.hexdigest() == hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("end", ["99999999999999999999999", "18446744073709551616", "-1"])

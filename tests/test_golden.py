@@ -11,7 +11,7 @@ import pytest
 
 from stablecore import analyze, random_tree, tree_from_edges
 from stablecore.cli import export_dot, format_tree_file, main, write_report
-from stablecore.harness import fig5_tree
+from stablecore.harness import CorpusSpec, fig5_tree, run_claim
 
 
 def sha256(data: str | bytes) -> str:
@@ -46,6 +46,16 @@ def test_verify_report_digests(tmp_path, capsys, corpus, digest):
     assert main(["verify", "--claims", "all", *corpus, "--out", str(out)]) == 3  # C12, C13
     capsys.readouterr()
     assert sha256(out.read_bytes()) == digest
+
+
+def test_e1_report_digest_up_to_the_scan_ceiling():
+    # every E1 measurement of 400 draws with n in 13..16, the largest trees
+    # E1 scans; the verify digests keep only its first 16 witnesses
+    verdict = run_claim("E1", CorpusSpec("random", 13, 16, sample_size=400, seed=7),
+                        witness_limit=None)
+    assert sha256(write_report(verdict)) == (
+        "161063cd701e63d8cdb97013c8000da6efdcea19c222742275f8422f427e343d"
+    )
 
 
 def test_bond_digest(tmp_path, capsys):

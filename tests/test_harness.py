@@ -528,14 +528,14 @@ def test_run_suite_matches_eager_witness_reference(spec):
 
 def test_e1_builds_measurements_only_for_kept_witnesses(monkeypatch):
     calls = 0
-    enumerate_sets = harness.enumerate_maximal_stable_sets
+    maximal_masks = harness._maximal_masks
 
-    def counted(t, limit):
+    def counted(view):
         nonlocal calls
         calls += 1
-        return enumerate_sets(t, limit)
+        return maximal_masks(view)
 
-    monkeypatch.setattr(harness, "enumerate_maximal_stable_sets", counted)
+    monkeypatch.setattr(harness, "_maximal_masks", counted)
     spec = CorpusSpec("exhaustive", 2, 7)
     assert run_claim("E1", spec).checked == 18_248
     assert 0 < calls <= 1_000

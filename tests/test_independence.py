@@ -12,6 +12,7 @@ from stablecore import (
     LimitExceeded,
     NotPendant,
     NotStable,
+    OutOfRange,
     SplitMix64,
     TooLarge,
     alpha,
@@ -48,7 +49,7 @@ from stablecore.graph_model import _centers
 from stablecore.harness import _deletion_set, fig5_tree
 from stablecore import reference
 from stablecore.reference import core_by_matching, fig1_graph, maximum_matching
-from stablecore.independence import _Rooted
+from stablecore.independence import _mask_to_set, _maximal_masks, _Rooted
 
 
 def path(n):
@@ -159,6 +160,33 @@ def test_enumerate_maximal_examples():
     ]
     with pytest.raises(LimitExceeded):
         enumerate_maximal_stable_sets(path(4), 2)
+
+
+def test_maximal_sets_match_the_subset_scan_filter():
+    # every labeled tree on 2..7 vertices, then 100 seeded trees with n in 8..18
+    sizes = SplitMix64(1818)
+    samples = [t for n in range(2, 8) for t in enumerate_labeled_trees(n)]
+    samples += [random_tree(8 + sizes.randrange(11), seed=derive_seed(1818, i))
+                for i in range(100)]
+    for t in samples:
+        expected = reference.maximal_stable_masks(small_graph_from_tree(t))
+        assert sorted(_maximal_masks(_Rooted(t))) == expected, t.edges
+        sets = sorted(map(_mask_to_set, expected), key=lambda s: tuple(sorted(s)))
+        assert enumerate_maximal_stable_sets(t, limit=len(sets)) == sets, t.edges
+
+
+@pytest.mark.parametrize("enumerate_sets", [
+    enumerate_maximal_stable_sets, enumerate_maximum_stable_sets,
+], ids=["maximal", "maximum"])
+@pytest.mark.parametrize("limit,message", [
+    ("5", "limit='5' is not an int"), (None, "limit=None is not an int"),
+    (2.5, "limit=2.5 is not an int"), (True, "limit=True is not an int"),
+    (0, "limit=0 < 1"), (-3, "limit=-3 < 1"),
+], ids=["str", "none", "float", "bool", "zero", "negative"])
+def test_limit_must_be_an_int_of_at_least_one(enumerate_sets, limit, message):
+    with pytest.raises(OutOfRange) as exc:
+        enumerate_sets(path(4), limit)
+    assert str(exc.value) == message
 
 
 def test_brute_force_examples():
