@@ -4,14 +4,17 @@ Each claim is a total function of a single tree with three outcomes: it
 holds, it is refuted (with a re-checkable witness), or its hypothesis does
 not apply. Every checker reads only the per-tree facts, and a table names
 the families of facts each claim reads: a run builds each tree's facts
-once, before its first claim, and only the families its claims read (the
-fact plan). E1, the one measurement that lists every maximal stable set
-(from the shared rooted view), raises ScaleExceeded on trees above
-SCAN_CEILING (16) vertices; the corpus runner records those trees as
-skipped. Corpora are pure functions of their spec: the runner hands each
-worker a slice of corpus indices (with isomorphism dedup, of the kept
-ones), the worker rebuilds those trees, and so any worker count produces
-the same verdicts.
+once, and only the families its claims read (the fact plan). It builds
+them for a batch of consecutive trees, at most 256 vertices in all, then
+runs each claim over the whole batch before the next claim; the bound is
+in vertices so that a batch stays cache-sized, and a tree of 256 vertices
+or more is a batch of its own. E1, the one measurement that lists every
+maximal stable set (from the shared rooted view), raises ScaleExceeded on
+trees above SCAN_CEILING (16) vertices; the corpus runner records those
+trees as skipped. Corpora are pure functions of their spec: the runner
+hands each worker a slice of corpus indices (with isomorphism dedup, of
+the kept ones), the worker rebuilds those trees, and so any worker count
+produces the same verdicts.
 
 Registry:
 
@@ -86,6 +89,10 @@ SCAN_CEILING = 16
 DEFAULT_WITNESS_LIMIT = 16
 
 _CHUNK = 2048
+
+# a chunk checks its trees claim by claim in batches of at most this many
+# vertices in all, or of one larger tree (see _fact_batches)
+_BATCH_VERTICES = 256
 
 HOLDS = "holds"
 REFUTED = "refuted"
@@ -669,9 +676,36 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[Tree]:
 # Runner
 
 
+def _fact_batches(spec: CorpusSpec, indices, reads) -> Iterator[list[_TreeFacts]]:
+    """The facts of the trees at ``indices``, in index order, in batches of
+    consecutive trees of at most _BATCH_VERTICES vertices in all; a tree of
+    that many vertices or more is a batch of its own. A batch closes as soon
+    as another tree of its last tree's size would not fit, so a tree of more
+    than half the budget is checked before the next tree is built, as it
+    would be without batches."""
+    batch, size = [], 0
+    for i in indices:
+        t = corpus_tree(spec, i)
+        if batch and size + t.n > _BATCH_VERTICES:
+            yield batch
+            batch, size = [], 0
+        batch.append(_TreeFacts(t, reads))
+        size += t.n
+        if size + t.n > _BATCH_VERTICES:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
+
+
 def _process_chunk(payload):
-    """Counts and witnesses of one chunk, each tree's facts built for the
-    union of the claims' reads. Each claim keeps its witnesses as
+    """Counts and witnesses of one chunk. It builds the facts of a batch of
+    trees (``_fact_batches``), each for the union of the claims' reads, then
+    runs each claim over the whole batch, tree by tree, before the next
+    claim: one checker over many small trees in turn costs less interpreter
+    work than all the checkers over each tree. The batch is bounded by
+    vertices, not trees, so that a batch's facts stay cache-sized and a
+    large tree keeps the per-tree order. Each claim keeps its witnesses as
     (key, result) pairs sorted by the canonical key (n, serialization), and
     with a limit only the first ``witness_limit``. A tree's key is computed
     once, when a claim first gives it a witness; an unbuilt witness is
@@ -679,37 +713,39 @@ def _process_chunk(payload):
     spec, indices, claims, witness_limit = payload
     stats = {c: [0, 0, 0, []] for c in claims}
     reads = frozenset().union(*[_READS[c] for c in claims])
-    for i in indices:
-        t = corpus_tree(spec, i)
-        facts = _TreeFacts(t, reads)
-        key = None
+    for batch in _fact_batches(spec, indices, reads):
+        keys = [None] * len(batch)
         for c in claims:
+            check = _CHECKERS[c]
             entry = stats[c]
-            try:
-                status, witness = _CHECKERS[c](facts)
-            except ScaleExceeded:
-                entry[2] += 1
-                continue
-            if status == HOLDS:
-                entry[0] += 1
-            elif status == REFUTED:
-                entry[1] += 1
-            else:
-                entry[2] += 1
-            if witness is None:
-                continue
-            if key is None:
-                key = (t.n, serialize_tree(t))
             kept = entry[3]
-            if len(kept) == witness_limit:
-                # a sort is stable, so a tie with the last kept one stays out
-                if not kept or key >= kept[-1][0]:
+            for j, facts in enumerate(batch):
+                try:
+                    status, witness = check(facts)
+                except ScaleExceeded:
+                    entry[2] += 1
                     continue
-                kept.pop()
-            if callable(witness):
-                witness = witness()
-            result = ClaimResult(claim=c, tree=key[1], status=status, witness=witness)
-            insort(kept, (key, result), key=itemgetter(0))
+                if status == HOLDS:
+                    entry[0] += 1
+                elif status == REFUTED:
+                    entry[1] += 1
+                else:
+                    entry[2] += 1
+                if witness is None:
+                    continue
+                key = keys[j]
+                if key is None:
+                    t = facts.tree
+                    key = keys[j] = (t.n, serialize_tree(t))
+                if len(kept) == witness_limit:
+                    # a sort is stable, so a tie with the last kept one stays out
+                    if not kept or key >= kept[-1][0]:
+                        continue
+                    kept.pop()
+                if callable(witness):
+                    witness = witness()
+                result = ClaimResult(claim=c, tree=key[1], status=status, witness=witness)
+                insort(kept, (key, result), key=itemgetter(0))
     return stats
 
 
@@ -767,7 +803,9 @@ def run_suite(
     jobs: int = 1,
     witness_limit: int | None = DEFAULT_WITNESS_LIMIT,
 ) -> list[Verdict]:
-    """Check each claim over the whole corpus (one shared materialization).
+    """Check each claim over the whole corpus (one shared materialization):
+    each chunk of _CHUNK trees builds the facts of a batch of trees of at
+    most _BATCH_VERTICES vertices in all, then checks each claim over it.
 
     The result is a pure function of (claims, corpus, witness_limit): chunk
     boundaries, counting and witness ordering do not depend on ``jobs``. At

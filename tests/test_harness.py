@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +46,7 @@ from stablecore import (
 from stablecore import harness
 from stablecore.errors import ScaleExceeded
 from stablecore.harness import (
+    _BATCH_VERTICES,
     _CHUNK,
     HOLDS,
     NOT_APPLICABLE,
@@ -524,6 +526,102 @@ def test_run_suite_matches_eager_witness_reference(spec):
         for jobs in (1, 2):
             assert run_suite(CLAIM_IDS, spec, jobs=jobs, witness_limit=limit) == expected, (
                 limit, jobs)
+
+
+# n in 2..300: one chunk of trees below, across and above the batch budget
+_MIXED = CorpusSpec("random", 2, 300, sample_size=300, seed=19)
+
+
+def test_batched_runner_matches_eager_reference_across_the_budget():
+    sizes = [t.n for t in iter_corpus(_MIXED)]
+    assert min(sizes) < _BATCH_VERTICES // 8 and max(sizes) >= _BATCH_VERTICES
+    assert len(sizes) <= _CHUNK
+    everything = _eager_suite(CLAIM_IDS, _MIXED, None)
+    assert any(len(v.witnesses) > 1 for v in everything)  # a limit of 1 cuts
+    for limit in (0, 1, 16, None):
+        # _eager_suite cuts its sorted witnesses to the limit
+        expected = [replace(v, witnesses=v.witnesses[:limit]) for v in everything]
+        for jobs in (1, 2):
+            assert run_suite(CLAIM_IDS, _MIXED, jobs=jobs, witness_limit=limit) == expected, (
+                limit, jobs)
+
+
+def _checked_batches(monkeypatch, claims, spec):
+    """The batches of a one-worker run_suite call, from spies on the
+    checkers and on ``corpus_tree``: the calls must come claim by claim over
+    one batch of facts, in the order of ``claims``, before the next batch.
+    Returns each batch's trees and how many trees were built before its
+    last check."""
+    events = []  # a built tree, or (claim, facts) for a checker call
+    for c in claims:
+        def spy(facts, c=c, real=harness._CHECKERS[c]):
+            events.append((c, facts))
+            return real(facts)
+
+        monkeypatch.setitem(harness._CHECKERS, c, spy)
+    build = harness.corpus_tree
+
+    def built(spec, i):
+        t = build(spec, i)
+        events.append(t)
+        return t
+
+    monkeypatch.setattr(harness, "corpus_tree", built)
+    run_suite(claims, spec, jobs=1)
+    runs = []  # [claim, facts seen, trees built by its last call] for each run of one claim
+    trees = 0
+    for event in events:
+        if isinstance(event, harness.Tree):
+            trees += 1
+            continue
+        c, facts = event
+        if not runs or runs[-1][0] != c:
+            runs.append([c, [], 0])
+        runs[-1][1].append(facts)
+        runs[-1][2] = trees
+    assert len(runs) % len(claims) == 0
+    batches = []
+    for start in range(0, len(runs), len(claims)):
+        group = runs[start:start + len(claims)]
+        assert [c for c, _, _ in group] == list(claims)
+        batch = group[0][1]
+        for _, seen, _ in group:
+            assert len(seen) == len(batch) and all(a is b for a, b in zip(seen, batch))
+        batches.append(([facts.tree for facts in batch], group[-1][2]))
+    return batches
+
+
+@pytest.mark.parametrize("spec", [
+    CORPUS_26, _MIXED, CorpusSpec("random", 100, 200, sample_size=40, seed=3),
+], ids=["exhaustive-2-6", "random-2-300", "random-100-200"])
+def test_batches_respect_the_vertex_budget(monkeypatch, spec):
+    claims = ["C7", "E1", "C12"]  # E1 raises ScaleExceeded above the scan ceiling
+    batches = _checked_batches(monkeypatch, claims, spec)
+    trees = [t for batch, _ in batches for t in batch]
+    # every tree once per claim, in index order
+    assert [serialize_tree(t) for t in trees] == [serialize_tree(t) for t in iter_corpus(spec)]
+    done = 0
+    for k, (batch, built) in enumerate(batches):
+        sizes = [t.n for t in batch]
+        # the budget is reached only with the last tree, and a tree at or
+        # over it runs alone
+        assert sum(sizes[:-1]) < _BATCH_VERTICES
+        assert len(sizes) == 1 or sum(sizes) <= _BATCH_VERTICES
+        done += len(batch)
+        # the batch closes when the corpus ends, or when one more tree of
+        # its last tree's size would take it over the budget, or else the
+        # next tree would: only then is that tree built before the checks
+        if k + 1 == len(batches) or sum(sizes) + sizes[-1] > _BATCH_VERTICES:
+            assert built == done
+        else:
+            assert sum(sizes) + batches[k + 1][0][0].n > _BATCH_VERTICES
+            assert built == done + 1
+    if spec is CORPUS_26:
+        assert max(len(batch) for batch, _ in batches) > 1
+    else:
+        # a tree of more than half the budget keeps the per-tree order
+        assert any(2 * t.n > _BATCH_VERTICES for t in trees)
+        assert all(len(batch) == 1 for batch, _ in batches if 2 * batch[0].n > _BATCH_VERTICES)
 
 
 def test_e1_builds_measurements_only_for_kept_witnesses(monkeypatch):
