@@ -4,7 +4,8 @@ Input trees use a plain edge-list text format: lines starting with '#' are
 comments, the first data line is the vertex count n >= 2, and each of the
 following n-1 data lines is an edge "u v" with 0-based endpoints.
 
-Exit codes: 0 success, 1 usage error or an output that cannot be written,
+Exit codes: 0 success, 1 usage error (an empty ``--claims`` list or an
+unknown claim id included) or an output that cannot be written,
 2 parse/validation error (an input file that cannot be read or is not UTF-8
 included), 3 at least one claim refuted during ``verify`` (distinct from a
 harness crash).
@@ -30,9 +31,7 @@ from .harness import (
     Verdict,
     _kept_indices,
     check_suite,
-    corpus_size,
     corpus_tree,
-    iter_corpus,
     run_suite,
 )
 from .independence import AnalysisReport, analyze
@@ -276,38 +275,39 @@ def _cmd_gen(args) -> int:
         sample_size=args.count, seed=args.seed, dedup_isomorphism=args.dedup_iso,
     )
     try:
-        corpus_size(spec)  # validates the spec before any output
+        indices = _kept_indices(spec)  # validates the spec before any output
     except StablecoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # each document is written as it is built; none is kept
-    if args.out is None or args.out == "-":
-        for k, t in enumerate(iter_corpus(spec)):
-            sys.stdout.write(("\n" if k else "") + format_tree_file(t))
-        return 0
-    out_dir = path = Path(args.out)
-    indices = _kept_indices(spec)
+    to_dir = args.out is not None and args.out != "-"
+    out_dir = path = Path(args.out) if to_dir else "-"
     width = max(5, len(str(max(len(indices) - 1, 0))))
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if to_dir:
+            out_dir.mkdir(parents=True, exist_ok=True)
         for k, i in enumerate(indices):
-            path = out_dir / f"tree_{k:0{width}d}.txt"
-            path.write_text(format_tree_file(corpus_tree(spec, i)), encoding="utf-8")
+            text = format_tree_file(corpus_tree(spec, i))
+            if to_dir:
+                path = out_dir / f"tree_{k:0{width}d}.txt"
+                path.write_text(text, encoding="utf-8")
+            else:
+                sys.stdout.write(("\n" if k else "") + text)
     except OSError as exc:
         return _cannot_write(path, exc)
-    print(f"wrote {len(indices)} trees to {out_dir}")
+    if to_dir:
+        print(f"wrote {len(indices)} trees to {out_dir}")
     return 0
 
 
 def _parse_claims(raw: str) -> list[str]:
+    """The ids of a ``--claims`` list, ``all`` naming every claim; the
+    harness rejects unknown ids. Raises StablecoreError for a list of none."""
     if raw == "all":
         return list(CLAIM_IDS)
     claims = [c.strip() for c in raw.split(",") if c.strip()]
-    unknown = [c for c in claims if c not in CLAIM_IDS]
-    if unknown:
-        raise StablecoreError(
-            f"unknown claims: {', '.join(unknown)} (valid: all, {', '.join(CLAIM_IDS)})"
-        )
+    if not claims:
+        raise StablecoreError(f"--claims names no claim: {raw!r}")
     return claims
 
 

@@ -167,13 +167,8 @@ def pendant_vertices(t: Tree) -> frozenset[int]:
 
 
 def bipartition(t: Tree) -> Bipartition:
-    """2-color by breadth-first traversal from vertex 0."""
-    return _parity_sides(*_bfs_order(t, 0))
-
-
-def _parity_sides(order: list[int], parent_at: list[int]) -> Bipartition:
-    """The 2-coloring by depth parity of a breadth-first order (see
-    ``_bfs_order``); side ``a`` holds the root."""
+    """2-color by depth parity in a breadth-first traversal from vertex 0."""
+    order, parent_at = _bfs_order(t, 0)
     odd = bytearray(len(order))
     i = 1
     for p in parent_at[1:]:
@@ -432,13 +427,15 @@ class SplitMix64:
         ``next_u64`` output below the largest multiple of bound up to 2^64,
         reduced mod bound. The limit is computed once and ``next_u64`` is
         inlined, which matters at a million draws. Raises OutOfRange unless
-        bound >= 1 and count >= 0 are exact ints."""
+        1 <= bound <= 2^64 and count >= 0 are exact ints."""
         _check_int("bound", bound)
         _check_int("count", count)
         if bound < 1:
             raise OutOfRange(f"bound={bound} < 1")
         if count < 0:
             raise OutOfRange(f"count={count} < 0")
+        if bound > _MASK64 + 1:  # no draw would ever be below the limit, 0
+            raise OutOfRange(f"bound={bound} > 2^64")
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
         state = self.state
         out = [0] * count

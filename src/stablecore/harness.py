@@ -14,7 +14,10 @@ trees above SCAN_CEILING (16) vertices; the corpus runner records those
 trees as skipped. Corpora are pure functions of their spec: the runner
 hands each worker a slice of corpus indices (with isomorphism dedup, of
 the kept ones), the worker rebuilds those trees, and so any worker count
-produces the same verdicts.
+produces the same verdicts; ``iter_corpus`` and ``gen`` rebuild theirs
+from the same kept indices, found by one dedup loop (``_kept_indices``).
+One check, shared by ``check_tree`` and ``check_suite``, names every
+unknown claim id.
 
 Registry:
 
@@ -182,8 +185,8 @@ class _TreeFacts:
     A family left out stays an unset slot, so a checker that reads a family
     missing from its claim's entry fails with an AttributeError.
 
-    ``core`` and ``bip`` (the sides) come from one top-down pass when both
-    are read. ``free`` is alpha(T - P), the size of the largest stable set
+    ``bip`` (the sides) comes only with ``core``, from one top-down pass.
+    ``free`` is alpha(T - P), the size of the largest stable set
     with no pendant member, and ``lonely`` the size of the largest lonely
     stable set, in which no pendant member has another member at distance
     two (n >= 3); one pendant DP sweep gives both, and each is built from
@@ -195,12 +198,10 @@ class _TreeFacts:
         self.tree = tree
         self.rooted = view = _Rooted(tree)
         self.alpha = view.alpha()
-        if "core" in reads and "bip" in reads:
+        if "bip" in reads:
             self.core, self.bip = view.core_and_sides()
         elif "core" in reads:
             self.core = view.core()
-        elif "bip" in reads:
-            self.bip = view.bipartition()
         if "pend" in reads:
             self.pend = pendant_vertices(tree)
         lonely = "lonely" in reads
@@ -581,12 +582,20 @@ _READS = {
 CLAIM_IDS = tuple(_CHECKERS)
 
 
+def _check_claim_ids(claims: list[str]) -> None:
+    """Raise StablecoreError naming every id in ``claims`` not in the registry."""
+    unknown = [c for c in claims if c not in _CHECKERS]
+    if unknown:
+        raise StablecoreError(
+            f"unknown claims: {', '.join(map(repr, unknown))}; valid: {', '.join(CLAIM_IDS)}"
+        )
+
+
 def check_tree(claim: str, t: Tree) -> ClaimResult:
     """Evaluate one claim on one tree, building only the facts it reads.
-    Raises ScaleExceeded when the claim is E1 and the tree has more than
-    SCAN_CEILING vertices."""
-    if claim not in _CHECKERS:
-        raise StablecoreError(f"unknown claim {claim!r}; valid: {', '.join(CLAIM_IDS)}")
+    Raises StablecoreError for an unknown claim, and ScaleExceeded when the
+    claim is E1 and the tree has more than SCAN_CEILING vertices."""
+    _check_claim_ids([claim])
     status, witness = _CHECKERS[claim](_TreeFacts(t, _READS[claim]))
     if callable(witness):
         witness = witness()
@@ -615,6 +624,9 @@ def validate_corpus(spec: CorpusSpec) -> None:
                 f"exhaustive corpus needs n_max <= {DEFAULT_ENUMERATION_CEILING}, got {spec.n_max}"
             )
     else:
+        # a tree's size is a SplitMix64 draw, and no draw goes past 2^64
+        if spec.n_max > 1 << 64:
+            raise TooLarge(f"random corpus needs n_max <= 2^64, got {spec.n_max}")
         if spec.sample_size is not None:
             _check_int("sample_size", spec.sample_size)
         if not spec.sample_size or spec.sample_size < 1:
@@ -653,23 +665,26 @@ def corpus_tree(spec: CorpusSpec, index: int) -> Tree:
     raise OutOfRange(f"corpus index {index} outside 0..{corpus_size(spec) - 1}")
 
 
-def _kept(spec: CorpusSpec) -> Iterator[tuple[int, Tree]]:
-    """(index, tree) for each corpus tree in index order, without the trees
-    isomorphic to an earlier one when the spec asks for dedup."""
+def _kept_indices(spec: CorpusSpec) -> range | list[int]:
+    """The corpus indices in order: every one, or with dedup a list of those
+    whose tree is isomorphic to no earlier tree (finding them builds every
+    tree once)."""
+    if not spec.dedup_isomorphism:
+        return range(corpus_size(spec))
     seen: set[str] = set()
+    kept = []
     for i in range(corpus_size(spec)):
-        t = corpus_tree(spec, i)
-        if spec.dedup_isomorphism:
-            form = canonical_form(t)
-            if form in seen:
-                continue
+        form = canonical_form(corpus_tree(spec, i))
+        if form not in seen:
             seen.add(form)
-        yield i, t
+            kept.append(i)
+    return kept
 
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[Tree]:
-    """Corpus trees in index order, with isomorphism dedup applied if asked."""
-    return (t for _, t in _kept(spec))
+    """Corpus trees in index order, with isomorphism dedup applied if asked;
+    the spec is checked, and the kept indices found, at the call."""
+    return map(partial(corpus_tree, spec), _kept_indices(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +764,6 @@ def _process_chunk(payload):
     return stats
 
 
-def _kept_indices(spec: CorpusSpec) -> range | list[int]:
-    """The indices of the trees ``_kept`` yields: every corpus index, or with
-    dedup a list of the kept ones (finding them builds every tree once)."""
-    if spec.dedup_isomorphism:
-        return [i for i, _ in _kept(spec)]
-    return range(corpus_size(spec))
-
-
 def _chunk_payloads(spec, claims, witness_limit):
     """One payload per _CHUNK kept corpus indices; each worker rebuilds its
     trees from the indices."""
@@ -780,9 +787,8 @@ def check_suite(
     """The claims of a ``run_suite`` call as a list, after the checks that
     call makes before it builds any tree; raises what ``run_suite`` would."""
     claims = list(claims)
+    _check_claim_ids(claims)
     for c in claims:
-        if c not in _CHECKERS:
-            raise StablecoreError(f"unknown claim {c!r}; valid: {', '.join(CLAIM_IDS)}")
         if claims.count(c) > 1:
             raise StablecoreError(f"claim {c} is listed more than once")
     _check_int("jobs", jobs)
@@ -792,8 +798,7 @@ def check_suite(
         _check_int("witness_limit", witness_limit)
         if witness_limit < 0:
             raise StablecoreError(f"witness_limit must be >= 0, got {witness_limit}")
-    if claims:
-        validate_corpus(corpus)
+    validate_corpus(corpus)
     return claims
 
 

@@ -22,8 +22,7 @@ from typing import Iterable
 
 from .errors import LimitExceeded, NotPendant, NotStable, OutOfRange, TooLarge
 from .graph_model import (
-    Bipartition, Tree, _bfs_order, _check_int, _parity_sides, _sides, bipartition,
-    pendant_vertices,
+    Bipartition, Tree, _bfs_order, _check_int, _sides, bipartition, pendant_vertices,
 )
 
 BRUTE_FORCE_CEILING = 30
@@ -166,10 +165,6 @@ class _Rooted:
                 chosen[i] = down_in[i] >= down_ex[i]
             i += 1
         return frozenset(compress(self.order, chosen))
-
-    def bipartition(self) -> Bipartition:
-        """The 2-coloring by depth parity; side ``a`` holds the root."""
-        return _parity_sides(self.order, self.parent_at)
 
 
 def alpha(t: Tree) -> int:

@@ -549,6 +549,32 @@ def test_gen_dedup(capsys):
     assert len(docs) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--exhaustive", "--n", "6"],
+    ["--exhaustive", "--n", "7", "--dedup-iso"],
+    ["--random", "--n", "6", "--count", "300", "--seed", "3", "--dedup-iso"],
+], ids=["exhaustive", "exhaustive-dedup", "random-dedup"])
+def test_gen_directory_holds_the_stdout_documents(tmp_path, capsys, args):
+    assert main(["gen", *args, "--out", "-"]) == 0
+    docs = capsys.readouterr().out
+    assert main(["gen", *args, "--out", str(tmp_path)]) == 0
+    files = sorted(tmp_path.iterdir())
+    assert capsys.readouterr().out == f"wrote {len(files)} trees to {tmp_path}\n"
+    assert "\n".join(f.read_text(encoding="utf-8") for f in files) == docs
+
+
+def test_random_sizes_past_2_64_are_usage_errors(capsys):
+    # a size drawn below more than 2^64 looped for ever; no tree is built
+    n = str(2**70)
+    for argv in (["verify", "--claims", "C7", "--mode", "random", "--n-min", "2",
+                  "--n-max", n, "--sample", "1", "--seed", "1", "--out", "-"],
+                 ["gen", "--random", "--n", n, "--count", "1"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"error: random corpus needs n_max <= 2^64, got {n}\n", argv
+
+
 def test_bond_cli(tmp_path, capsys):
     f = write(tmp_path, "p3.txt", format_tree_file(path(3)))
     assert main(["bond", f, "1", f, "1"]) == 0
@@ -640,11 +666,26 @@ def test_verify_all_claims_small_corpus(tmp_path, capsys):
 
 def test_verify_unknown_claim_is_usage_error(tmp_path, capsys):
     rc = main([
-        "verify", "--claims", "C99", "--mode", "exhaustive",
+        "verify", "--claims", "C99,C7,X1", "--mode", "exhaustive",
         "--n-min", "2", "--n-max", "4", "--out", str(tmp_path / "r.json"),
     ])
     assert rc == 1
-    assert "unknown claims" in capsys.readouterr().err
+    assert "unknown claims: 'C99', 'X1'; valid: C1, " in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("raw", [",", "", " , "])
+@pytest.mark.parametrize("n_min, n_max", [("2", "4"), ("1", "0")],
+                         ids=["corpus-valid", "corpus-invalid"])
+def test_verify_empty_claim_list_is_usage_error(capsys, raw, n_min, n_max):
+    # "--claims ," once wrote the report [] and exited 0, even for a corpus
+    # that validation rejects
+    rc = main(["verify", "--claims", raw, "--mode", "exhaustive", "--n-min", n_min,
+               "--n-max", n_max, "--out", "-"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --claims names no claim: {raw!r}\n"
 
 
 def test_verify_repeated_claim_is_usage_error(tmp_path, capsys):

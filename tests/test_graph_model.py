@@ -148,11 +148,17 @@ def test_sizes_seeds_and_vertices_must_be_exact_ints(call, name, value):
         (lambda: SplitMix64(1).draws(0, 3), "bound=0 < 1"),
         (lambda: SplitMix64(1).draws(-2, 0), "bound=-2 < 1"),
         (lambda: SplitMix64(1).draws(5, -1), "count=-1 < 0"),
+        (lambda: SplitMix64(1).draws(2**64 + 1, 0), "bound=18446744073709551617 > 2^64"),
+        (lambda: random_tree(2**65, 1), "bound=36893488147419103232 > 2^64"),
     ],
-    ids=["randrange-0", "draws-bound-0", "draws-bound-negative", "draws-count-negative"],
+    ids=["randrange-0", "draws-bound-0", "draws-bound-negative", "draws-count-negative",
+         "draws-bound-past-2^64", "random_tree-n-past-2^64"],
 )
 def test_draw_bounds_and_counts_out_of_range(call, message):
-    # randrange(0) divided by zero, and these draws returned [] without a word
+    # randrange(0) divided by zero, and these draws returned [] without a
+    # word; past 2^64 no draw is ever below the rejection limit, so a draw
+    # looped for ever (random_tree raised a raw OverflowError first, sizing
+    # its code)
     with pytest.raises(OutOfRange, match=rf"^{re.escape(message)}$"):
         call()
 

@@ -161,8 +161,13 @@ def test_c5_distance_arm_is_the_side_test_seeded(monkeypatch):
 
 
 def test_unknown_claim_rejected():
-    with pytest.raises(StablecoreError):
+    with pytest.raises(StablecoreError, match=r"^unknown claims: 'C99'; valid: C1, C2, .*, E1$"):
         check_tree("C99", path(3))
+    # one message names every unknown id, wherever it is checked
+    for call in (lambda: run_suite(["C99", "C7", "X1"], CORPUS_26),
+                 lambda: harness.check_suite(["C99", "C7", "X1"], CORPUS_26)):
+        with pytest.raises(StablecoreError, match=r"^unknown claims: 'C99', 'X1'; valid: C1, "):
+            call()
 
 
 def test_serialization_round_trip():
@@ -238,6 +243,9 @@ def test_run_suite_shared_counts():
 
 def test_empty_suite():
     assert run_suite([], CORPUS_26) == []
+    # the corpus is checked whatever the claims
+    with pytest.raises(TooSmall):
+        run_suite([], CorpusSpec(mode="exhaustive", n_min=1, n_max=0))
 
 
 def test_scan_claims_skip_beyond_ceiling():
@@ -395,6 +403,17 @@ def test_corpus_validation_errors():
         corpus_size(CorpusSpec(mode="random", n_min=2, n_max=5))
     with pytest.raises(StablecoreError):
         corpus_size(CorpusSpec(mode="upside-down", n_min=2, n_max=5))
+
+
+def test_random_corpus_sizes_past_2_64_are_rejected():
+    # SplitMix64 draws below at most 2^64: a size drawn below more looped
+    # for ever. No call here builds a tree: each fails before it allocates.
+    spec = CorpusSpec(mode="random", n_min=2, n_max=2**64 + 1, sample_size=1, seed=1)
+    for call in (harness.validate_corpus, corpus_size, lambda s: corpus_tree(s, 0),
+                 lambda s: list(iter_corpus(s)), lambda s: run_suite(["C7"], s)):
+        with pytest.raises(TooLarge, match=r"^random corpus needs n_max <= 2\^64, got "):
+            call(spec)
+    harness.validate_corpus(replace(spec, n_max=2**64))
 
 
 def test_exhaustive_corpus_matches_enumeration():
@@ -873,8 +892,8 @@ def test_a_family_left_out_of_the_plan_is_an_unset_slot():
 
 def _spy_on_fact_builders(monkeypatch):
     """Patch the builders of the fact families to record each call: the
-    pendant set, the sides on their own, the top-down pass (with or
-    without sides) and the pendant DP (with or without the lonely set)."""
+    pendant set, the top-down pass (with or without sides) and the pendant
+    DP (with or without the lonely set)."""
     built = []
 
     def spy(owner, name, label):
@@ -887,7 +906,6 @@ def _spy_on_fact_builders(monkeypatch):
         monkeypatch.setattr(owner, name, recorded)
 
     spy(harness, "pendant_vertices", lambda t: "pend")
-    spy(_Rooted, "bipartition", lambda view: "sides")
     spy(_Rooted, "core_and_sides",
         lambda view, sides=True: "core+sides" if sides else "core")
     spy(harness, "_pendant_dp",
@@ -901,7 +919,7 @@ _RANDOM_200_CLAIMS = ["C3", "C4", "C5", "C7", "C10", "C11", "C12", "C13"]
 @pytest.mark.parametrize("claims, per_tree", [
     (["C7"], ["core"]),
     (_RANDOM_200_CLAIMS, ["core+sides", "pend", "free"]),
-    (["C4", "E1"], ["sides", "pend"]),
+    (["C4", "E1"], ["core+sides", "pend"]),
     (["C2"], ["pend", "free+lonely"]),
     (list(CLAIM_IDS), ["core+sides", "pend", "free+lonely"]),
 ], ids=["C7", "random-200", "C4-E1", "C2", "all"])

@@ -645,7 +645,11 @@ def _assert_view_matches(t, root):
     assert view.core() == ref.core(), where
     assert view.count() == ref.count(), where
     assert view.one_set() == ref.one_set(), where
-    assert view.bipartition() == ref.bipartition(), where
+    sides = view.core_and_sides()[1]
+    assert sides == ref.bipartition(), where
+    # bipartition(t) takes the same parities from vertex 0's traversal
+    whole = bipartition(t)
+    assert {whole.a, whole.b} == {sides.a, sides.b} and 0 in whole.a, where
     assert bfs_depths(t, root) == ref.depths(), where
 
 
