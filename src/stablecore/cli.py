@@ -312,9 +312,12 @@ def _parse_claims(raw: str) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    # an exhaustive corpus reads neither sample_size nor seed, so its
+    # report records neither
+    drawn = args.mode == "random"
     spec = CorpusSpec(
         mode=args.mode, n_min=args.n_min, n_max=args.n_max,
-        sample_size=args.sample, seed=args.seed if args.mode == "random" else None,
+        sample_size=args.sample if drawn else None, seed=args.seed if drawn else None,
         dedup_isomorphism=args.dedup_iso,
     )
     try:

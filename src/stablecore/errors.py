@@ -47,7 +47,9 @@ class LimitExceeded(StablecoreError):
 
 
 class ScaleExceeded(StablecoreError):
-    """Claim check needs an exhaustive scan but the tree is too large for it."""
+    """Claim check needs an exhaustive scan but the tree is too large for it.
+    No check in stablecore raises it; it stays exported for code that
+    catches it."""
 
 
 class ParseError(StablecoreError):

@@ -19,6 +19,7 @@ sampled corpus is reproducible bit-for-bit across machines and runs.
 
 from __future__ import annotations
 
+import sys
 from bisect import insort
 from dataclasses import dataclass
 from itertools import compress, product
@@ -29,6 +30,10 @@ from .errors import NotATree, OutOfRange, StablecoreError, TooLarge, TooSmall
 DEFAULT_ENUMERATION_CEILING = 9
 
 _MASK64 = (1 << 64) - 1
+
+# the most draws one call returns: a list of more 8-byte slots overflows
+# the address space
+_MAX_DRAWS = sys.maxsize // 8
 
 # swaps the bytes 0 and 1, turning a 0/1 membership mask into its complement
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -427,7 +432,8 @@ class SplitMix64:
         ``next_u64`` output below the largest multiple of bound up to 2^64,
         reduced mod bound. The limit is computed once and ``next_u64`` is
         inlined, which matters at a million draws. Raises OutOfRange unless
-        1 <= bound <= 2^64 and count >= 0 are exact ints."""
+        1 <= bound <= 2^64 and count >= 0 are exact ints, and TooLarge,
+        before it allocates, for more draws than a list can hold."""
         _check_int("bound", bound)
         _check_int("count", count)
         if bound < 1:
@@ -436,6 +442,8 @@ class SplitMix64:
             raise OutOfRange(f"count={count} < 0")
         if bound > _MASK64 + 1:  # no draw would ever be below the limit, 0
             raise OutOfRange(f"bound={bound} > 2^64")
+        if count > _MAX_DRAWS:
+            raise TooLarge(f"count={count} > {_MAX_DRAWS}, the most draws a list can hold")
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
         state = self.state
         out = [0] * count

@@ -8,16 +8,15 @@ once, and only the families its claims read (the fact plan). It builds
 them for a batch of consecutive trees, at most 256 vertices in all, then
 runs each claim over the whole batch before the next claim; the bound is
 in vertices so that a batch stays cache-sized, and a tree of 256 vertices
-or more is a batch of its own. E1, the one measurement that lists every
-maximal stable set (from the shared rooted view), raises ScaleExceeded on
-trees above SCAN_CEILING (16) vertices; the corpus runner records those
-trees as skipped. Corpora are pure functions of their spec: the runner
-hands each worker a slice of corpus indices (with isomorphism dedup, of
-the kept ones), the worker rebuilds those trees, and so any worker count
-produces the same verdicts; ``iter_corpus`` and ``gen`` rebuild theirs
-from the same kept indices, found by one dedup loop (``_kept_indices``).
-One check, shared by ``check_tree`` and ``check_suite``, names every
-unknown claim id.
+or more is a batch of its own. E1 reads the number and the intersection of
+the maximal stable sets of each size it measures from one pass over the
+shared rooted view, at any n. Corpora are pure functions of their spec:
+the runner hands each worker a slice of corpus indices (with isomorphism
+dedup, of the kept ones), the worker rebuilds those trees, and so any
+worker count produces the same verdicts; ``iter_corpus`` and ``gen``
+rebuild theirs from the same kept indices, found by one dedup loop
+(``_kept_indices``). One check, shared by ``check_tree`` and
+``check_suite``, names every unknown claim id.
 
 Registry:
 
@@ -61,14 +60,15 @@ from __future__ import annotations
 import os
 from bisect import insort
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import compress
 from multiprocessing import get_context
-from operator import and_, itemgetter
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator
 
-from .errors import OutOfRange, ParseError, ScaleExceeded, StablecoreError, TooLarge, TooSmall
+from .errors import OutOfRange, ParseError, StablecoreError, TooLarge, TooSmall
 from .graph_model import (
+    _MAX_DRAWS,
     DEFAULT_ENUMERATION_CEILING,
     SplitMix64,
     Tree,
@@ -82,12 +82,8 @@ from .graph_model import (
     tree_from_edges,
 )
 from .independence import (
-    _extend_pendants, _mask_to_set, _maximal_masks, _Rooted, _strong_unique_of,
+    _extend_pendants, _mask_to_set, _maximal_profile, _Rooted, _strong_unique_of,
 )
-
-# E1 enumerates all maximal stable sets and refuses trees above this size;
-# the runner counts them as skipped.
-SCAN_CEILING = 16
 
 DEFAULT_WITNESS_LIMIT = 16
 
@@ -435,7 +431,10 @@ def _check_c9(facts: _TreeFacts):
     core_t = facts.core
     alpha_t = facts.alpha
     up = facts.rooted.up()
+    # the union of the factor cores is the same at every split, so it is
+    # compared with core(T) once, not at each split
     factor_union = _deletion_set(facts.rooted, *up)
+    union_is_core = factor_union == core_t
     for v, u, alpha1, in_core1, alpha2, in_core2 in _bonding_splits(t, facts.rooted, *up):
         bonded_in_core = v in core_t
         factors_in_core = in_core1 and in_core2
@@ -451,7 +450,7 @@ def _check_c9(facts: _TreeFacts):
                 "vertex": v, "neighbor": u, "law": "stability numbers add up",
                 "alpha": alpha_t, "alpha_factors": [alpha1, alpha2],
             }
-        if factor_union != core_t:
+        if not union_is_core:
             return REFUTED, {
                 "vertex": v, "neighbor": u, "law": "core is union of factor cores",
                 "core": sorted(core_t), "factor_union": sorted(factor_union),
@@ -520,42 +519,26 @@ def _check_c13(facts: _TreeFacts):
 def _check_e1(facts: _TreeFacts):
     # E1 holds on every tree and its witness is the whole measurement, so the
     # witness is returned unbuilt, for the caller to build if it keeps it
-    t = facts.tree
-    if t.n > SCAN_CEILING:
-        raise ScaleExceeded(f"E1 needs an exhaustive scan; n={t.n} > ceiling {SCAN_CEILING}")
     return HOLDS, partial(_e1_measurement, facts)
 
 
 def _e1_measurement(facts: _TreeFacts) -> dict:
     t = facts.tree
-    sides = facts.bip
     perfect = 2 * facts.alpha == t.n
-    ks = []
+    ks = {min(len(facts.bip.a), len(facts.bip.b))}
     if t.n % 2 == 0:
-        ks.append(t.n // 2)
-    k2 = min(len(sides.a), len(sides.b))
-    if k2 not in ks:
-        ks.append(k2)
-    pend = facts.pend
-    maximal = _maximal_masks(facts.rooted)
+        ks.add(t.n // 2)
+    profile = _maximal_profile(facts.rooted, max(ks))
     measurements = []
     for k in sorted(ks):
-        of_size = [m for m in maximal if m.bit_count() == k]
-        if of_size:
-            inter = _mask_to_set(reduce(and_, of_size))
-            measurements.append({
-                "k": k,
-                "num_sets": len(of_size),
-                "intersection": sorted(inter),
-                "pendants_in_intersection": len(inter & pend),
-            })
-        else:
-            measurements.append({
-                "k": k,
-                "num_sets": 0,
-                "intersection": None,
-                "pendants_in_intersection": None,
-            })
+        num_sets, mask = profile.get(k, (0, None))
+        inter = None if mask is None else _mask_to_set(mask)
+        measurements.append({
+            "k": k,
+            "num_sets": num_sets,
+            "intersection": None if inter is None else sorted(inter),
+            "pendants_in_intersection": None if inter is None else len(inter & facts.pend),
+        })
     return {
         "perfect_matching": perfect,
         "beyond_question": perfect,
@@ -593,8 +576,7 @@ def _check_claim_ids(claims: list[str]) -> None:
 
 def check_tree(claim: str, t: Tree) -> ClaimResult:
     """Evaluate one claim on one tree, building only the facts it reads.
-    Raises StablecoreError for an unknown claim, and ScaleExceeded when the
-    claim is E1 and the tree has more than SCAN_CEILING vertices."""
+    Raises StablecoreError for an unknown claim."""
     _check_claim_ids([claim])
     status, witness = _CHECKERS[claim](_TreeFacts(t, _READS[claim]))
     if callable(witness):
@@ -627,6 +609,9 @@ def validate_corpus(spec: CorpusSpec) -> None:
         # a tree's size is a SplitMix64 draw, and no draw goes past 2^64
         if spec.n_max > 1 << 64:
             raise TooLarge(f"random corpus needs n_max <= 2^64, got {spec.n_max}")
+        # and its Prufer code, n - 2 draws, is one list
+        if spec.n_max - 2 > _MAX_DRAWS:
+            raise TooLarge(f"random corpus needs n_max <= {_MAX_DRAWS + 2}, got {spec.n_max}")
         if spec.sample_size is not None:
             _check_int("sample_size", spec.sample_size)
         if not spec.sample_size or spec.sample_size < 1:
@@ -735,11 +720,7 @@ def _process_chunk(payload):
             entry = stats[c]
             kept = entry[3]
             for j, facts in enumerate(batch):
-                try:
-                    status, witness = check(facts)
-                except ScaleExceeded:
-                    entry[2] += 1
-                    continue
+                status, witness = check(facts)
                 if status == HOLDS:
                     entry[0] += 1
                 elif status == REFUTED:

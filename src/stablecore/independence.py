@@ -7,11 +7,11 @@ every, some or no maximum stable set; where the bipartition is wanted too,
 the same pass takes each vertex's depth parity. The upward pass, which
 gives the stability number of T - v for every v, serves claim C9 alone.
 
-The maximal stable sets, which the measurement E1 reads on small trees,
-are listed by one bottom-up combination over the same rooted view. The
-independent reference paths (the quadratic core, the subset-scan oracle
-and its maximal-set filter, explicit enumeration of the maximum stable
-sets) live in ``reference``, which nothing here imports.
+One bottom-up recurrence over the same view lists the maximal stable sets,
+or gives E1 their number and intersection at each size. The independent
+reference paths (the quadratic core, the subset-scan oracle and its
+maximal-set filter, explicit enumeration of the maximum stable sets) live
+in ``reference``, which nothing here imports.
 """
 
 from __future__ import annotations
@@ -224,21 +224,53 @@ def _check_limit(limit) -> None:
         raise OutOfRange(f"limit={limit} < 1")
 
 
-def _maximal_masks(view: _Rooted) -> list[int]:
-    """The maximal stable sets of the view's tree, the stable dominating
-    sets (Wilf 1986), as unordered bitmasks of labels. Each position lists
-    its subtree's sets with its vertex in (ins), out beside a child in
-    (held), or out with no child in (bare: its parent must be in); each
-    child is folded into its parent, last position first, and popped."""
-    ins = [[1 << v] for v in view.order]
-    held = [[] for _ in ins]
-    bare = [[0] for _ in ins]
+def _maximal_fold(view: _Rooted, one, empty, blank, times, plus):
+    """Wilf's recurrence (1986) for the maximal stable sets of the view's
+    tree: a position's family has its vertex in (ins), out beside a child in
+    (held), or out with none in (bare: its parent must be in). ``one(v)`` is
+    {v}, ``empty`` no set, ``blank`` the empty set; ``times`` pairs disjoint
+    families, ``plus`` joins two, and neither may change its shared inputs."""
+    ins = [one(v) for v in view.order]
+    held = [empty] * len(ins)
+    bare = [blank] * len(ins)
     for p in view.parent_at[:0:-1]:
-        ci, ch, cb = ins.pop(), held.pop(), bare.pop()  # the child's lists
-        held[p] = [s | x for x in ci + ch for s in held[p]] + [s | x for x in ci for s in bare[p]]
-        ins[p] = [s | x for x in ch + cb for s in ins[p]]
-        bare[p] = [s | x for x in ch for s in bare[p]]
-    return ins[0] + held[0]
+        ci, ch, cb = ins.pop(), held.pop(), bare.pop()  # the child's families
+        held[p] = plus(times(held[p], plus(ci, ch)), times(bare[p], ci))
+        ins[p] = times(ins[p], plus(ch, cb))
+        bare[p] = times(bare[p], ch)
+    return plus(ins[0], held[0])
+
+
+def _maximal_masks(view: _Rooted) -> list[int]:
+    """The maximal stable sets as unordered bitmasks of labels."""
+    return _maximal_fold(view, lambda v: [1 << v], [], [0],
+                         lambda a, b: [s | x for x in b for s in a], list.__add__)
+
+
+def _maximal_profile(view: _Rooted, most: int) -> dict[int, tuple[int, int]]:
+    """Each size k <= ``most`` (>= 1) of some maximal stable set, mapped to
+    (their number, the bitmask of their intersection). Pairing multiplies
+    counts and unites intersections, joining adds counts and meets them (-1
+    meets as nothing), and sizes past ``most`` drop out: about n^2 pairs."""
+
+    def times(a, b):
+        out = {}
+        for ka, (ca, ia) in a.items():
+            for kb, (cb, ib) in b.items():
+                k = ka + kb
+                if k <= most:
+                    c, i = out.get(k, (0, -1))
+                    out[k] = (c + ca * cb, i & (ia | ib))
+        return out
+
+    def plus(a, b):
+        out = dict(a)
+        for k, (c, i) in b.items():
+            c0, i0 = out.get(k, (0, -1))
+            out[k] = (c0 + c, i0 & i)
+        return out
+
+    return _maximal_fold(view, lambda v: {1: (1, 1 << v)}, {}, {0: (1, 0)}, times, plus)
 
 
 def _mask_to_set(m: int) -> frozenset[int]:

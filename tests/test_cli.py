@@ -649,6 +649,19 @@ def test_verify_exhaustive_beyond_ceiling_is_usage_error(tmp_path, capsys):
     assert "n_max" in capsys.readouterr().err
 
 
+def test_verify_exhaustive_report_ignores_sample_and_seed(tmp_path, capsys):
+    # an exhaustive corpus reads neither, so the report records neither
+    reports = []
+    for extra in ([], ["--sample", "5"], ["--sample", "5", "--seed", "9"]):
+        report = tmp_path / f"r{len(reports)}.json"
+        assert main(["verify", "--claims", "C7", "--mode", "exhaustive", "--n-min", "2",
+                     "--n-max", "5", *extra, "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    capsys.readouterr()
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert b'"sample_size": null' in reports[0] and b'"seed": null' in reports[0]
+
+
 def test_verify_all_claims_small_corpus(tmp_path, capsys):
     report = tmp_path / "all.json"
     rc = main([

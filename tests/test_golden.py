@@ -36,7 +36,7 @@ def test_analysis_report_digests():
     (["--mode", "exhaustive", "--n-min", "2", "--n-max", "6"],
      "ede200d06b354a927a2208194ecdcb9bfb3ab203cd49d25e4e12238a8f93f31b"),
     (["--mode", "random", "--n-min", "10", "--n-max", "20", "--sample", "500", "--seed", "3"],
-     "20002ceb8ae96416e68ac983255d05a0951c8d047453cd8d9eba985994db7766"),
+     "be149eca63b2b6b2b00d4f59e421c0fdf755f5ddf37ee299fd35a16229c85abd"),
     # nine chunks over two workers: pins each chunk's witness selection and the merge
     (["--mode", "exhaustive", "--n-min", "2", "--n-max", "7", "--jobs", "2"],
      "7061d35bed73d21348dd3af4bea136c6f1532b8aba0302b8defa222005a5ec38"),
@@ -49,8 +49,8 @@ def test_verify_report_digests(tmp_path, capsys, corpus, digest):
 
 
 def test_e1_report_digest_up_to_the_scan_ceiling():
-    # every E1 measurement of 400 draws with n in 13..16, the largest trees
-    # E1 scans; the verify digests keep only its first 16 witnesses
+    # every E1 measurement of 400 draws with n in 13..16; the verify digests
+    # keep only its first 16 witnesses
     verdict = run_claim("E1", CorpusSpec("random", 13, 16, sample_size=400, seed=7),
                         witness_limit=None)
     assert sha256(write_report(verdict)) == (

@@ -163,6 +163,19 @@ def test_draw_bounds_and_counts_out_of_range(call, message):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: SplitMix64(1).draws(5, 2**61),
+    lambda: SplitMix64(1).draws(2**64, 2**64),
+    lambda: random_tree(2**62, 1),
+    lambda: random_tree(2**64, 1),
+], ids=["draws-2^61", "draws-2^64", "random_tree-2^62", "random_tree-2^64"])
+def test_draw_counts_past_a_list_are_too_large(call):
+    # [0] * count raised a raw MemoryError or OverflowError; these fail
+    # before any allocation
+    with pytest.raises(TooLarge, match=r"^count=\d+ > \d+, the most draws a list can hold$"):
+        call()
+
+
 def test_labeled_tree_count_needs_two_vertices():
     assert [labeled_tree_count(n) for n in range(2, 7)] == [1, 3, 16, 125, 1296]
     for n in (1, 0, -1):

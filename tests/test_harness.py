@@ -20,6 +20,7 @@ from stablecore import (
     alpha_forest,
     analyze,
     bfs_depths,
+    bipartition,
     brute_force_stability,
     check_tree,
     core,
@@ -44,14 +45,12 @@ from stablecore import (
     tree_from_serialization,
 )
 from stablecore import harness
-from stablecore.errors import ScaleExceeded
 from stablecore.harness import (
     _BATCH_VERTICES,
     _CHUNK,
     HOLDS,
     NOT_APPLICABLE,
     REFUTED,
-    SCAN_CEILING,
     _bonding_splits,
     _check_c1,
     _check_c2,
@@ -68,7 +67,7 @@ from stablecore.harness import (
     _TreeFacts,
 )
 from stablecore.independence import _mask_to_set, _Rooted
-from stablecore.reference import stable_masks
+from stablecore.reference import maximal_stable_masks, stable_masks
 
 
 def path(n):
@@ -248,26 +247,55 @@ def test_empty_suite():
         run_suite([], CorpusSpec(mode="exhaustive", n_min=1, n_max=0))
 
 
-def test_scan_claims_skip_beyond_ceiling():
-    # only E1 still scans; C1, C2, C6 and C8 give verdicts at any size
+def test_claims_once_scanned_give_verdicts_at_twenty_vertices():
+    # C1, C2, C6, C8 and E1 once listed sets and skipped trees past 16
+    # vertices; each gives a verdict at any size now
     corpus = CorpusSpec(mode="random", n_min=20, n_max=20, sample_size=40, seed=5)
-    v = run_claim("E1", corpus)
-    assert (v.checked, v.skipped) == (40, 40)
-    for claim in ("C1", "C2", "C6", "C8"):
+    for claim in ("C1", "C2", "C6", "C8", "E1"):
         v = run_claim(claim, corpus)
-        assert (v.checked, v.held, v.refuted, v.skipped) == (40, 40, 0, 0)
+        assert (v.checked, v.held, v.refuted, v.skipped) == (40, 40, 0, 0), claim
 
 
-def test_scan_ceiling_boundary():
-    assert check_tree("E1", path(SCAN_CEILING)).status == "holds"
-    with pytest.raises(ScaleExceeded):
-        check_tree("E1", path(SCAN_CEILING + 1))
+def _e1_reference(t):
+    """E1's measurement of t from the maximal-set filter of the subset scan."""
+    sides = bipartition(t)
+    ks = sorted({min(len(sides.a), len(sides.b))} | ({t.n // 2} if t.n % 2 == 0 else set()))
+    maximal = maximal_stable_masks(small_graph_from_tree(t))
+    pend = pendant_vertices(t)
+    measurements = []
+    for k in ks:
+        of_size = [m for m in maximal if m.bit_count() == k]
+        inter = set(range(t.n))
+        for m in of_size:
+            inter &= _mask_to_set(m)
+        measurements.append({
+            "k": k,
+            "num_sets": len(of_size),
+            "intersection": sorted(inter) if of_size else None,
+            "pendants_in_intersection": len(inter & pend) if of_size else None,
+        })
+    perfect = 2 * alpha(t) == t.n
+    return {"perfect_matching": perfect, "beyond_question": perfect,
+            "measurements": measurements}
+
+
+def test_e1_past_sixteen_vertices_matches_the_maximal_set_filter():
+    # the path on 17 vertices, where E1 stopped before, then a seeded tree
+    # at each n in 17..24, the sizes the subset-scan filter covers
+    trees = [path(17)] + [random_tree(n, derive_seed(2417, n)) for n in range(17, 25)]
+    for t in trees:
+        res = check_tree("E1", t)
+        assert res.status == "holds"
+        assert res.witness == _e1_reference(t), serialize_tree(t)
 
 
 def test_only_e1_scans_and_harness_binds_no_brute_force_path():
+    # E1 reads a per-size pass, not a listing of the maximal sets, and no
+    # claim has a scan ceiling
     for name in (
         "stable_masks", "small_graph_from_tree", "brute_force_stability",
-        "core_naive", "_stable_masks_direct",
+        "core_naive", "_stable_masks_direct", "_maximal_masks", "ScaleExceeded",
+        "SCAN_CEILING",
     ):
         assert not hasattr(harness, name), name
     # the instrument imports none of its oracles, by any import form
@@ -413,7 +441,18 @@ def test_random_corpus_sizes_past_2_64_are_rejected():
                  lambda s: list(iter_corpus(s)), lambda s: run_suite(["C7"], s)):
         with pytest.raises(TooLarge, match=r"^random corpus needs n_max <= 2\^64, got "):
             call(spec)
-    harness.validate_corpus(replace(spec, n_max=2**64))
+
+
+@pytest.mark.parametrize("n_max", [2**61, 2**63, 2**64])
+def test_random_corpus_sizes_past_a_list_of_draws_are_rejected(n_max):
+    # a tree's Prufer code is one list of n - 2 draws; past sys.maxsize // 8
+    # slots no such list fits, and [0] * count raised a raw MemoryError or
+    # OverflowError. No call here builds a tree.
+    spec = CorpusSpec(mode="random", n_min=2, n_max=n_max, sample_size=1, seed=1)
+    for call in (harness.validate_corpus, corpus_size, lambda s: corpus_tree(s, 0),
+                 lambda s: run_suite(["C7"], s)):
+        with pytest.raises(TooLarge, match=rf"^random corpus needs n_max <= \d+, got {n_max}$"):
+            call(spec)
 
 
 def test_exhaustive_corpus_matches_enumeration():
@@ -516,11 +555,7 @@ def _eager_suite(claims, spec, witness_limit):
         counts = {HOLDS: 0, REFUTED: 0, NOT_APPLICABLE: 0}
         witnessed = []
         for t in iter_corpus(spec):
-            try:
-                res = check_tree(c, t)
-            except ScaleExceeded:
-                counts[NOT_APPLICABLE] += 1
-                continue
+            res = check_tree(c, t)
             counts[res.status] += 1
             if res.witness is not None:
                 witnessed.append(res)
@@ -614,7 +649,7 @@ def _checked_batches(monkeypatch, claims, spec):
     CORPUS_26, _MIXED, CorpusSpec("random", 100, 200, sample_size=40, seed=3),
 ], ids=["exhaustive-2-6", "random-2-300", "random-100-200"])
 def test_batches_respect_the_vertex_budget(monkeypatch, spec):
-    claims = ["C7", "E1", "C12"]  # E1 raises ScaleExceeded above the scan ceiling
+    claims = ["C7", "E1", "C12"]
     batches = _checked_batches(monkeypatch, claims, spec)
     trees = [t for batch, _ in batches for t in batch]
     # every tree once per claim, in index order
@@ -645,14 +680,14 @@ def test_batches_respect_the_vertex_budget(monkeypatch, spec):
 
 def test_e1_builds_measurements_only_for_kept_witnesses(monkeypatch):
     calls = 0
-    maximal_masks = harness._maximal_masks
+    maximal_profile = harness._maximal_profile
 
-    def counted(view):
+    def counted(view, most):
         nonlocal calls
         calls += 1
-        return maximal_masks(view)
+        return maximal_profile(view, most)
 
-    monkeypatch.setattr(harness, "_maximal_masks", counted)
+    monkeypatch.setattr(harness, "_maximal_profile", counted)
     spec = CorpusSpec("exhaustive", 2, 7)
     assert run_claim("E1", spec).checked == 18_248
     assert 0 < calls <= 1_000
@@ -930,6 +965,33 @@ def test_each_tree_builds_the_families_its_claims_read_once(monkeypatch, claims,
         run_suite(claims, spec, jobs=1)
         # no claim here is refuted on a tree the witness would rebuild a DP for
         assert built == per_tree * corpus_size(spec), claims
+
+
+class _CountedCore(frozenset):
+    """A core that counts its equality comparisons."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _CountedCore.compared += 1
+        return frozenset.__eq__(self, other)
+
+    def __ne__(self, other):
+        _CountedCore.compared += 1
+        return frozenset.__ne__(self, other)
+
+    __hash__ = frozenset.__hash__
+
+
+def test_c9_compares_the_core_once_per_tree():
+    # the factor union is one set for every split, so comparing it with
+    # core(T) at each split where v is in the core made C9 quadratic
+    for t in (random_tree(200, 3), path(41), fig5_tree()):
+        facts = _TreeFacts(t)
+        facts.core = _CountedCore(facts.core)
+        _CountedCore.compared = 0
+        assert _check_c9(facts) == (HOLDS, None)
+        assert _CountedCore.compared <= 1, serialize_tree(t)
 
 
 def test_c9_refutations_match_reference_on_tampered_facts():

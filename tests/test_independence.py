@@ -49,7 +49,7 @@ from stablecore.graph_model import _centers
 from stablecore.harness import _deletion_set, fig5_tree
 from stablecore import reference
 from stablecore.reference import core_by_matching, fig1_graph, maximum_matching
-from stablecore.independence import _mask_to_set, _maximal_masks, _Rooted
+from stablecore.independence import _mask_to_set, _maximal_masks, _maximal_profile, _Rooted
 
 
 def path(n):
@@ -173,6 +173,31 @@ def test_maximal_sets_match_the_subset_scan_filter():
         assert sorted(_maximal_masks(_Rooted(t))) == expected, t.edges
         sets = sorted(map(_mask_to_set, expected), key=lambda s: tuple(sorted(s)))
         assert enumerate_maximal_stable_sets(t, limit=len(sets)) == sets, t.edges
+
+
+def _profile_of(masks):
+    """Each size of the sets ``masks`` mapped to (their number, the bitmask
+    of their intersection)."""
+    profile = {}
+    for m in masks:
+        count, inter = profile.get(m.bit_count(), (0, m))
+        profile[m.bit_count()] = (count + 1, inter & m)
+    return profile
+
+
+def test_maximal_profile_matches_the_subset_scan_filter():
+    # every labeled tree on 2..7 vertices, then seeded trees with n in
+    # 8..24, the sizes the filter covers
+    samples = [t for n in range(2, 8) for t in enumerate_labeled_trees(n)]
+    samples += [random_tree(n, seed=derive_seed(2424, n)) for n in range(8, 25)]
+    for t in samples:
+        expected = _profile_of(reference.maximal_stable_masks(small_graph_from_tree(t)))
+        assert _maximal_profile(_Rooted(t), t.n) == expected, t.edges
+        # sizes past ``most`` are dropped, the others kept as they are
+        most = (t.n + 1) // 2
+        assert _maximal_profile(_Rooted(t), most) == {
+            k: v for k, v in expected.items() if k <= most
+        }, t.edges
 
 
 @pytest.mark.parametrize("enumerate_sets", [
