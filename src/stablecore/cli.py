@@ -5,10 +5,10 @@ comments, the first data line is the vertex count n >= 2, and each of the
 following n-1 data lines is an edge "u v" with 0-based endpoints.
 
 Exit codes: 0 success, 1 usage error (an empty ``--claims`` list or an
-unknown claim id included) or an output that cannot be written,
-2 parse/validation error (an input file that cannot be read or is not UTF-8
-included), 3 at least one claim refuted during ``verify`` (distinct from a
-harness crash).
+unknown claim id included), a random tree too large to allocate or an
+output that cannot be written, 2 parse/validation error (an input file
+that cannot be read or is not UTF-8 included), 3 at least one claim
+refuted during ``verify`` (distinct from a harness crash).
 """
 
 from __future__ import annotations
@@ -251,16 +251,20 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def _cannot_write(path: str | Path, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return 1
+    return _error(f"cannot write {path}: {exc.strerror or exc}", 1)
+
+
+def _error(message, code: int) -> int:
+    """Print ``message`` as one error line on stderr; returns the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _cmd_analyze(args) -> int:
     try:
         t = parse_tree_file(args.file)
     except StablecoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     rep = analyze(t)
     # the JSON report goes to --json, or to stdout when no output is named
     if (args.json is not None or args.dot is None) and _emit(write_report(rep), args.json):
@@ -277,8 +281,7 @@ def _cmd_gen(args) -> int:
     try:
         indices = _kept_indices(spec)  # validates the spec before any output
     except StablecoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     # each document is written as it is built; none is kept
     to_dir = args.out is not None and args.out != "-"
     out_dir = path = Path(args.out) if to_dir else "-"
@@ -295,6 +298,8 @@ def _cmd_gen(args) -> int:
                 sys.stdout.write(("\n" if k else "") + text)
     except OSError as exc:
         return _cannot_write(path, exc)
+    except StablecoreError as exc:  # a tree too large to build
+        return _error(exc, 1)
     if to_dir:
         print(f"wrote {len(indices)} trees to {out_dir}")
     return 0
@@ -323,15 +328,17 @@ def _cmd_verify(args) -> int:
     try:
         claims = check_suite(_parse_claims(args.claims), spec, args.jobs)
     except StablecoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     if args.out != "-":
         # open the report before the run, so an unwritable path fails fast
         try:
             open(args.out, "w", encoding="utf-8").close()
         except OSError as exc:
             return _cannot_write(args.out, exc)
-    verdicts = run_suite(claims, spec, jobs=args.jobs)
+    try:
+        verdicts = run_suite(claims, spec, jobs=args.jobs)
+    except StablecoreError as exc:  # a tree too large to build
+        return _error(exc, 1)
     if _emit(write_report(verdicts), args.out):
         return 1
     if args.out != "-":
@@ -350,13 +357,11 @@ def _cmd_bond(args) -> int:
         t1 = parse_tree_file(args.file1)
         t2 = parse_tree_file(args.file2)
     except StablecoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     try:
         bond = vertex_bond(t1, args.v1, t2, args.v2)
     except OutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     return _emit(format_tree_file(bond.tree), args.out)
 
 

@@ -20,7 +20,9 @@ class TooSmall(StablecoreError):
 
 
 class TooLarge(StablecoreError):
-    """Parameter above a configured ceiling (enumeration or brute-force scale)."""
+    """Parameter above a supported ceiling: exhaustive enumeration, a random
+    tree's draws (more than a list can hold, or than memory can allocate),
+    or the test oracles' subset scans."""
 
 
 class EmptyResult(StablecoreError):

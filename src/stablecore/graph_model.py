@@ -298,8 +298,6 @@ def _decode(seq: list[int] | tuple[int, ...], n: int) -> Tree:
 def prufer_encode(t: Tree) -> tuple[int, ...]:
     """Inverse of ``prufer_decode``: peel the lowest leaf n-2 times."""
     n = t.n
-    if n == 2:
-        return ()
     adjacency = t.adjacency
     degree = [len(a) for a in adjacency]
     alive = bytearray([1]) * n
@@ -335,8 +333,6 @@ def prufer_encode(t: Tree) -> tuple[int, ...]:
 def _centers(t: Tree) -> list[int]:
     # peel leaf layers until one or two vertices remain
     n = t.n
-    if n == 2:
-        return [0, 1]
     degree = [len(a) for a in t.adjacency]
     layer = [v for v in range(n) if degree[v] == 1]
     remaining = n
@@ -433,7 +429,8 @@ class SplitMix64:
         reduced mod bound. The limit is computed once and ``next_u64`` is
         inlined, which matters at a million draws. Raises OutOfRange unless
         1 <= bound <= 2^64 and count >= 0 are exact ints, and TooLarge,
-        before it allocates, for more draws than a list can hold."""
+        before it draws, for more draws than a list can hold or than memory
+        can allocate."""
         _check_int("bound", bound)
         _check_int("count", count)
         if bound < 1:
@@ -446,7 +443,10 @@ class SplitMix64:
             raise TooLarge(f"count={count} > {_MAX_DRAWS}, the most draws a list can hold")
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
         state = self.state
-        out = [0] * count
+        try:
+            out = [0] * count
+        except MemoryError:
+            raise TooLarge(f"count={count}: no memory for a list of that many draws") from None
         for i in range(count):
             while True:
                 state = (state + 0x9E3779B97F4A7C15) & _MASK64

@@ -1,22 +1,23 @@
 """Executable claims about trees, checked over exhaustive or sampled corpora.
 
 Each claim is a total function of a single tree with three outcomes: it
-holds, it is refuted (with a re-checkable witness), or its hypothesis does
-not apply. Every checker reads only the per-tree facts, and a table names
-the families of facts each claim reads: a run builds each tree's facts
-once, and only the families its claims read (the fact plan). It builds
-them for a batch of consecutive trees, at most 256 vertices in all, then
-runs each claim over the whole batch before the next claim; the bound is
-in vertices so that a batch stays cache-sized, and a tree of 256 vertices
-or more is a batch of its own. E1 reads the number and the intersection of
-the maximal stable sets of each size it measures from one pass over the
-shared rooted view, at any n. Corpora are pure functions of their spec:
-the runner hands each worker a slice of corpus indices (with isomorphism
-dedup, of the kept ones), the worker rebuilds those trees, and so any
-worker count produces the same verdicts; ``iter_corpus`` and ``gen``
-rebuild theirs from the same kept indices, found by one dedup loop
-(``_kept_indices``). One check, shared by ``check_tree`` and
-``check_suite``, names every unknown claim id.
+holds, it is refuted (with a re-checkable witness), or its hypothesis
+does not apply. Every checker reads only the per-tree facts, and one
+table, ``_CLAIMS``, gives each claim's checker and the families of facts
+it reads: a run builds each tree's facts once, and only the families its
+claims read (the fact plan). It builds them for a batch of consecutive
+trees, at most 256 vertices in all, then runs each claim over the whole
+batch before the next claim; the bound is in vertices so that a batch
+stays cache-sized, and a tree of 256 vertices or more is a batch of its
+own. E1 reads the number and the intersection of the maximal stable sets
+of each size it measures from one pass over the shared rooted view, at
+any n. Corpora are pure functions of their spec: the runner hands each
+worker a slice of corpus indices (with isomorphism dedup, of the kept
+ones), the worker rebuilds those trees, and so any worker count produces
+the same verdicts; ``iter_corpus`` and ``gen`` rebuild theirs from the
+same kept indices, found by one dedup loop (``_kept_indices``). One
+check, shared by ``check_tree`` and ``check_suite``, names every unknown
+claim id.
 
 Registry:
 
@@ -177,9 +178,9 @@ class _TreeFacts:
     """The facts of one tree that the claims of a run read, each built once,
     in ``__init__``: ``rooted`` (the shared rooted view) and ``alpha``
     always, and of the families in ``_FAMILIES`` those in ``reads`` (by
-    default all of them). ``_READS`` names the families each claim reads.
-    A family left out stays an unset slot, so a checker that reads a family
-    missing from its claim's entry fails with an AttributeError.
+    default all of them), as ``_CLAIMS`` names them per claim. A family
+    left out stays an unset slot, so a checker that reads a family missing
+    from its claim's entry fails with an AttributeError.
 
     ``bip`` (the sides) comes only with ``core``, from one top-down pass.
     ``free`` is alpha(T - P), the size of the largest stable set
@@ -546,28 +547,23 @@ def _e1_measurement(facts: _TreeFacts) -> dict:
     }
 
 
-_CHECKERS = {
-    "C1": _check_c1, "C2": _check_c2, "C3": _check_c3, "C4": _check_c4,
-    "C5": _check_c5, "C6": _check_c6, "C7": _check_c7, "C8": _check_c8,
-    "C9": _check_c9, "C10": _check_c10, "C11": _check_c11, "C12": _check_c12,
-    "C13": _check_c13, "E1": _check_e1,
+# each claim's checker and the fact families it reads, witness included
+_CLAIMS = {
+    "C1": (_check_c1, {"pend", "free"}), "C2": (_check_c2, {"pend", "lonely"}),
+    "C3": (_check_c3, {"pend", "free"}), "C4": (_check_c4, {"pend", "bip"}),
+    "C5": (_check_c5, {"core", "pend", "bip"}), "C6": (_check_c6, {"pend", "bip", "lonely"}),
+    "C7": (_check_c7, {"core"}), "C8": (_check_c8, {"pend"}), "C9": (_check_c9, {"core"}),
+    "C10": (_check_c10, {"core", "pend"}), "C11": (_check_c11, {"core", "pend"}),
+    "C12": (_check_c12, {"core", "pend", "bip"}), "C13": (_check_c13, {"core"}),
+    "E1": (_check_e1, {"pend", "bip"}),
 }
 
-# the fact families each claim reads, witness included (see _TreeFacts)
-_READS = {
-    "C1": {"pend", "free"}, "C2": {"pend", "lonely"}, "C3": {"pend", "free"},
-    "C4": {"pend", "bip"}, "C5": {"core", "pend", "bip"}, "C6": {"pend", "bip", "lonely"},
-    "C7": {"core"}, "C8": {"pend"}, "C9": {"core"}, "C10": {"core", "pend"},
-    "C11": {"core", "pend"}, "C12": {"core", "pend", "bip"}, "C13": {"core"},
-    "E1": {"pend", "bip"},
-}
-
-CLAIM_IDS = tuple(_CHECKERS)
+CLAIM_IDS = tuple(_CLAIMS)
 
 
 def _check_claim_ids(claims: list[str]) -> None:
     """Raise StablecoreError naming every id in ``claims`` not in the registry."""
-    unknown = [c for c in claims if c not in _CHECKERS]
+    unknown = [c for c in claims if c not in _CLAIMS]
     if unknown:
         raise StablecoreError(
             f"unknown claims: {', '.join(map(repr, unknown))}; valid: {', '.join(CLAIM_IDS)}"
@@ -578,7 +574,8 @@ def check_tree(claim: str, t: Tree) -> ClaimResult:
     """Evaluate one claim on one tree, building only the facts it reads.
     Raises StablecoreError for an unknown claim."""
     _check_claim_ids([claim])
-    status, witness = _CHECKERS[claim](_TreeFacts(t, _READS[claim]))
+    check, reads = _CLAIMS[claim]
+    status, witness = check(_TreeFacts(t, reads))
     if callable(witness):
         witness = witness()
     return ClaimResult(claim=claim, tree=serialize_tree(t), status=status, witness=witness)
@@ -606,10 +603,7 @@ def validate_corpus(spec: CorpusSpec) -> None:
                 f"exhaustive corpus needs n_max <= {DEFAULT_ENUMERATION_CEILING}, got {spec.n_max}"
             )
     else:
-        # a tree's size is a SplitMix64 draw, and no draw goes past 2^64
-        if spec.n_max > 1 << 64:
-            raise TooLarge(f"random corpus needs n_max <= 2^64, got {spec.n_max}")
-        # and its Prufer code, n - 2 draws, is one list
+        # a Prufer code of n - 2 draws is one list; n stays below 2^64, a draw's range
         if spec.n_max - 2 > _MAX_DRAWS:
             raise TooLarge(f"random corpus needs n_max <= {_MAX_DRAWS + 2}, got {spec.n_max}")
         if spec.sample_size is not None:
@@ -712,11 +706,11 @@ def _process_chunk(payload):
     built only if it is kept."""
     spec, indices, claims, witness_limit = payload
     stats = {c: [0, 0, 0, []] for c in claims}
-    reads = frozenset().union(*[_READS[c] for c in claims])
+    reads = frozenset().union(*[_CLAIMS[c][1] for c in claims])
     for batch in _fact_batches(spec, indices, reads):
         keys = [None] * len(batch)
         for c in claims:
-            check = _CHECKERS[c]
+            check = _CLAIMS[c][0]
             entry = stats[c]
             kept = entry[3]
             for j, facts in enumerate(batch):

@@ -7,25 +7,24 @@ every, some or no maximum stable set; where the bipartition is wanted too,
 the same pass takes each vertex's depth parity. The upward pass, which
 gives the stability number of T - v for every v, serves claim C9 alone.
 
-One bottom-up recurrence over the same view lists the maximal stable sets,
-or gives E1 their number and intersection at each size. The independent
-reference paths (the quadratic core, the subset-scan oracle and its
-maximal-set filter, explicit enumeration of the maximum stable sets) live
-in ``reference``, which nothing here imports.
+One bottom-up recurrence over the same view counts or lists the maximal
+stable sets, or gives E1 their number and intersection at each size. The
+independent reference paths (the quadratic core, the subset-scan oracle
+and its maximal-set filter, explicit enumeration of the maximum stable
+sets) live in ``reference``, which nothing here imports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import add, mul
 from typing import Iterable
 
-from .errors import LimitExceeded, NotPendant, NotStable, OutOfRange, TooLarge
+from .errors import LimitExceeded, NotPendant, NotStable, OutOfRange
 from .graph_model import (
     Bipartition, Tree, _bfs_order, _check_int, _sides, bipartition, pendant_vertices,
 )
-
-BRUTE_FORCE_CEILING = 30
 
 # core's states as compress selectors: in every set (2) or not
 _IN_EVERY = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x01")
@@ -204,16 +203,14 @@ def count_maximum_stable_sets(t: Tree) -> int:
 
 def enumerate_maximal_stable_sets(t: Tree, limit: int) -> list[frozenset[int]]:
     """All inclusion-maximal stable sets, sorted by their sorted member
-    tuples; LimitExceeded (carrying the count) when more than ``limit``."""
+    tuples. Their count, the only bound at any n, comes first: with more
+    than ``limit``, LimitExceeded (carrying it) is raised before any list."""
     _check_limit(limit)
-    n = t.n
-    if n > BRUTE_FORCE_CEILING:
-        raise TooLarge(f"n={n} exceeds the brute-force ceiling {BRUTE_FORCE_CEILING}")
-    found = _maximal_masks(_Rooted(t))
-    if len(found) > limit:
-        raise LimitExceeded(
-            f"{len(found)} maximal stable sets exceed limit {limit}", count=len(found)
-        )
+    view = _Rooted(t)
+    count = _maximal_fold(view, lambda v: 1, 0, 1, mul, add)
+    if count > limit:
+        raise LimitExceeded(f"{count} maximal stable sets exceed limit {limit}", count=count)
+    found = _maximal_masks(view)
     return sorted((_mask_to_set(m) for m in found), key=lambda s: tuple(sorted(s)))
 
 

@@ -17,7 +17,9 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyResult, LimitExceeded, OutOfRange, StablecoreError, TooLarge
 from .graph_model import Tree, tree_from_edges
-from .independence import BRUTE_FORCE_CEILING, _check_limit, _mask_to_set, _Rooted, alpha
+from .independence import _check_limit, _mask_to_set, _Rooted, alpha
+
+BRUTE_FORCE_CEILING = 30
 
 
 @dataclass(frozen=True)

@@ -564,7 +564,9 @@ def test_gen_directory_holds_the_stdout_documents(tmp_path, capsys, args):
 
 
 def test_random_sizes_past_2_64_are_usage_errors(capsys):
-    # a size drawn below more than 2^64 looped for ever; no tree is built
+    # a size drawn below more than 2^64 looped for ever; the one bound on a
+    # random corpus, that its Prufer code fits one list, stops it before
+    # any tree is built
     n = str(2**70)
     for argv in (["verify", "--claims", "C7", "--mode", "random", "--n-min", "2",
                   "--n-max", n, "--sample", "1", "--seed", "1", "--out", "-"],
@@ -572,7 +574,24 @@ def test_random_sizes_past_2_64_are_usage_errors(capsys):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
-        assert captured.err == f"error: random corpus needs n_max <= 2^64, got {n}\n", argv
+        assert captured.err == (
+            f"error: random corpus needs n_max <= {sys.maxsize // 8 + 2}, got {n}\n"), argv
+
+
+def test_random_sizes_past_memory_are_errors_not_tracebacks(capsys):
+    # 2^50 vertices pass the corpus bound, but their Prufer code asks for
+    # 8 PiB, past the 128 TiB a process can address on common 64-bit
+    # systems: the allocation fails at once, and it ended in a MemoryError
+    # traceback
+    n = str(2**50)
+    for argv in (["verify", "--claims", "C7", "--mode", "random", "--n-min", n,
+                  "--n-max", n, "--sample", "1", "--seed", "1", "--out", "-"],
+                 ["gen", "--random", "--n", n, "--count", "1"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert re.fullmatch(r"error: count=\d+: no memory for a list of that many draws\n",
+                            captured.err), argv
 
 
 def test_bond_cli(tmp_path, capsys):

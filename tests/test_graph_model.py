@@ -163,16 +163,25 @@ def test_draw_bounds_and_counts_out_of_range(call, message):
         call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: SplitMix64(1).draws(5, 2**61),
-    lambda: SplitMix64(1).draws(2**64, 2**64),
-    lambda: random_tree(2**62, 1),
-    lambda: random_tree(2**64, 1),
-], ids=["draws-2^61", "draws-2^64", "random_tree-2^62", "random_tree-2^64"])
-def test_draw_counts_past_a_list_are_too_large(call):
-    # [0] * count raised a raw MemoryError or OverflowError; these fail
-    # before any allocation
-    with pytest.raises(TooLarge, match=r"^count=\d+ > \d+, the most draws a list can hold$"):
+_NO_LIST = r"^count=\d+ > \d+, the most draws a list can hold$"
+_NO_MEMORY = r"^count=\d+: no memory for a list of that many draws$"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SplitMix64(1).draws(5, 2**61), _NO_LIST),
+    (lambda: SplitMix64(1).draws(2**64, 2**64), _NO_LIST),
+    (lambda: random_tree(2**62, 1), _NO_LIST),
+    (lambda: random_tree(2**64, 1), _NO_LIST),
+    (lambda: SplitMix64(1).draws(2, 2**50), _NO_MEMORY),
+    (lambda: random_tree(2**50, 1), _NO_MEMORY),
+], ids=["draws-2^61", "draws-2^64", "random_tree-2^62", "random_tree-2^64",
+        "draws-2^50", "random_tree-2^50"])
+def test_draw_counts_past_a_list_are_too_large(call, message):
+    # [0] * count raised a raw MemoryError or OverflowError. Past
+    # sys.maxsize // 8 slots the count is refused before any allocation; a
+    # list of 2^50 draws asks for 8 PiB, past the 128 TiB a process can
+    # address on common 64-bit systems, so its allocation fails at once
+    with pytest.raises(TooLarge, match=message):
         call()
 
 

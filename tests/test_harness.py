@@ -309,6 +309,8 @@ def test_only_e1_scans_and_harness_binds_no_brute_force_path():
             else:
                 continue
             assert not any("reference" in m.split(".") for m in imported), (name, node.lineno)
+        # the subset scans' ceiling belongs to them alone
+        assert not hasattr(module, "BRUTE_FORCE_CEILING"), name
         for attr, value in vars(module).items():
             if inspect.isfunction(value) or inspect.isclass(value):
                 assert value.__module__ != "stablecore.reference", (name, attr)
@@ -433,24 +435,15 @@ def test_corpus_validation_errors():
         corpus_size(CorpusSpec(mode="upside-down", n_min=2, n_max=5))
 
 
-def test_random_corpus_sizes_past_2_64_are_rejected():
-    # SplitMix64 draws below at most 2^64: a size drawn below more looped
-    # for ever. No call here builds a tree: each fails before it allocates.
-    spec = CorpusSpec(mode="random", n_min=2, n_max=2**64 + 1, sample_size=1, seed=1)
-    for call in (harness.validate_corpus, corpus_size, lambda s: corpus_tree(s, 0),
-                 lambda s: list(iter_corpus(s)), lambda s: run_suite(["C7"], s)):
-        with pytest.raises(TooLarge, match=r"^random corpus needs n_max <= 2\^64, got "):
-            call(spec)
-
-
-@pytest.mark.parametrize("n_max", [2**61, 2**63, 2**64])
+@pytest.mark.parametrize("n_max", [2**61, 2**63, 2**64, 2**64 + 1, 2**70])
 def test_random_corpus_sizes_past_a_list_of_draws_are_rejected(n_max):
     # a tree's Prufer code is one list of n - 2 draws; past sys.maxsize // 8
     # slots no such list fits, and [0] * count raised a raw MemoryError or
-    # OverflowError. No call here builds a tree.
+    # OverflowError. The bound is below 2^64, so no size is drawn below more
+    # than 2^64, which looped for ever. No call here builds a tree.
     spec = CorpusSpec(mode="random", n_min=2, n_max=n_max, sample_size=1, seed=1)
     for call in (harness.validate_corpus, corpus_size, lambda s: corpus_tree(s, 0),
-                 lambda s: run_suite(["C7"], s)):
+                 lambda s: list(iter_corpus(s)), lambda s: run_suite(["C7"], s)):
         with pytest.raises(TooLarge, match=rf"^random corpus needs n_max <= \d+, got {n_max}$"):
             call(spec)
 
@@ -608,11 +601,13 @@ def _checked_batches(monkeypatch, claims, spec):
     last check."""
     events = []  # a built tree, or (claim, facts) for a checker call
     for c in claims:
-        def spy(facts, c=c, real=harness._CHECKERS[c]):
+        real, reads = harness._CLAIMS[c]
+
+        def spy(facts, c=c, real=real):
             events.append((c, facts))
             return real(facts)
 
-        monkeypatch.setitem(harness._CHECKERS, c, spy)
+        monkeypatch.setitem(harness._CLAIMS, c, (spy, reads))
     build = harness.corpus_tree
 
     def built(spec, i):

@@ -47,7 +47,7 @@ from stablecore import (
 )
 from stablecore.graph_model import _centers
 from stablecore.harness import _deletion_set, fig5_tree
-from stablecore import reference
+from stablecore import independence, reference
 from stablecore.reference import core_by_matching, fig1_graph, maximum_matching
 from stablecore.independence import _mask_to_set, _maximal_masks, _maximal_profile, _Rooted
 
@@ -160,6 +160,37 @@ def test_enumerate_maximal_examples():
     ]
     with pytest.raises(LimitExceeded):
         enumerate_maximal_stable_sets(path(4), 2)
+
+
+@pytest.mark.parametrize("t, count", [(path(35), 17991), (star(40), 2)],
+                         ids=["path-35", "star-40"])
+def test_maximal_sets_past_thirty_vertices_are_listed(t, count):
+    # the count of the sets is the only bound: n = 30 was a ceiling
+    sets = enumerate_maximal_stable_sets(t, limit=count)
+    assert len(set(sets)) == len(sets) == count
+    for s in sets:
+        assert all(s.isdisjoint(t.adjacency[v]) for v in s)  # stable
+        assert all(v in s or not s.isdisjoint(t.adjacency[v]) for v in range(t.n))  # dominating
+    with pytest.raises(LimitExceeded) as exc:
+        enumerate_maximal_stable_sets(t, limit=count - 1)
+    assert exc.value.count == count
+
+
+def test_maximal_sets_over_the_limit_are_counted_not_listed(monkeypatch):
+    listed = []
+
+    def spy(view):
+        listed.append(view)
+        return _maximal_masks(view)
+
+    monkeypatch.setattr(independence, "_maximal_masks", spy)
+    with pytest.raises(LimitExceeded) as exc:
+        enumerate_maximal_stable_sets(path(35), limit=17990)
+    assert exc.value.count == 17991
+    assert listed == []
+    # within the limit the spy sees the one listing
+    enumerate_maximal_stable_sets(path(35), limit=17991)
+    assert len(listed) == 1
 
 
 def test_maximal_sets_match_the_subset_scan_filter():
