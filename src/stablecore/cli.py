@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from array import array
 from dataclasses import asdict
@@ -30,8 +31,8 @@ from .harness import (
     CorpusSpec,
     Verdict,
     _kept_indices,
+    _trees,
     check_suite,
-    corpus_tree,
     run_suite,
 )
 from .independence import AnalysisReport, analyze
@@ -289,8 +290,8 @@ def _cmd_gen(args) -> int:
     try:
         if to_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
-        for k, i in enumerate(indices):
-            text = format_tree_file(corpus_tree(spec, i))
+        for k, t in enumerate(_trees(spec, indices)):
+            text = format_tree_file(t)
             if to_dir:
                 path = out_dir / f"tree_{k:0{width}d}.txt"
                 path.write_text(text, encoding="utf-8")
@@ -330,9 +331,12 @@ def _cmd_verify(args) -> int:
     except StablecoreError as exc:
         return _error(exc, 1)
     if args.out != "-":
-        # open the report before the run, so an unwritable path fails fast
+        # fail before the run if the path cannot be written, leaving it as it was
         try:
-            open(args.out, "w", encoding="utf-8").close()
+            new = not os.path.exists(args.out)
+            open(args.out, "a").close()
+            if new:  # a link's new target goes, the link stays
+                os.remove(os.path.realpath(args.out))
         except OSError as exc:
             return _cannot_write(args.out, exc)
     try:

@@ -200,6 +200,15 @@ def _check_int(name: str, v, n: int | None = None) -> None:
         raise OutOfRange(f"{name}={v} outside 0..{n - 1}")
 
 
+def _check_n(n: int, ceiling: int | None = None) -> None:
+    """Raise OutOfRange unless n is an exact int, TooSmall below 2, TooLarge above ``ceiling``."""
+    _check_int("n", n)
+    if n < 2:
+        raise TooSmall(f"need n >= 2, got n={n}")
+    if ceiling is not None and n > ceiling:
+        raise TooLarge(f"n={n} exceeds the enumeration ceiling {ceiling}")
+
+
 def bfs_depths(t: Tree, root: int) -> list[int]:
     """Edge-count distance from ``root`` to every vertex."""
     _check_int("root", root, t.n)
@@ -236,9 +245,7 @@ def prufer_decode(code: Iterable[int], n: int) -> Tree:
     the Tree is built straight from the decoded parents, without the
     checks of ``tree_from_edges``.
     """
-    _check_int("n", n)
-    if n < 2:
-        raise TooSmall(f"need n >= 2, got n={n}")
+    _check_n(n)
     seq = list(code)
     if len(seq) != n - 2:
         raise OutOfRange(f"code length {len(seq)} != n-2 = {n - 2}")
@@ -474,10 +481,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 def random_tree(n: int, seed: int) -> Tree:
     """Uniform random labeled tree on n vertices: a uniform Prufer code, decoded."""
-    _check_int("n", n)
+    _check_n(n)
     _check_int("seed", seed)
-    if n < 2:
-        raise TooSmall(f"need n >= 2, got n={n}")
     return _prufer_draw(SplitMix64(seed), n)
 
 
@@ -489,29 +494,35 @@ def _prufer_draw(rng: SplitMix64, n: int) -> Tree:
 def labeled_tree_count(n: int) -> int:
     """Cayley's count of labeled trees on n vertices. Raises OutOfRange
     unless n is an exact int, and TooSmall for n < 2."""
-    _check_int("n", n)
-    if n < 2:
-        raise TooSmall(f"need n >= 2, got n={n}")
+    _check_n(n)
     return n ** (n - 2)
 
 
+def _prufer_codes(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """The Prufer codes on n vertices numbered lo..hi-1, 0 <= lo <= hi <= n^(n-2), in the
+    exhaustive order: code i is i in base n with n - 2 digits. Each aligned block of n^j
+    codes gets its shared high digits once, and ``product`` steps through its low j digits."""
+    while lo < hi:
+        j, size = 0, 1
+        while j < n - 2 and lo % (size * n) == 0 and lo + size * n <= hi:
+            j, size = j + 1, size * n
+        head = tuple([lo // size // n ** p % n for p in range(n - 3 - j, -1, -1)])
+        yield from map(head.__add__, product(range(n), repeat=j))
+        lo += size
+
+
 def labeled_tree_at(n: int, index: int) -> Tree:
-    """Tree number ``index`` (0-based) in the enumeration order of
-    ``enumerate_labeled_trees``: Prufer codes read as base-n numerals."""
-    digits = [0] * (n - 2)
-    for pos in range(n - 3, -1, -1):
-        index, digits[pos] = divmod(index, n)
-    return _decode(digits, n)
+    """Tree number ``index`` (0-based) in the order of ``enumerate_labeled_trees``,
+    which checks n as this does; OutOfRange for an index outside 0..n^(n-2)-1."""
+    _check_n(n, DEFAULT_ENUMERATION_CEILING)
+    _check_int("index", index)
+    if not 0 <= index < n ** (n - 2):
+        raise OutOfRange(f"index={index} outside 0..{n ** (n - 2) - 1}")
+    return _decode(next(_prufer_codes(n, index, index + 1)), n)
 
 
 def enumerate_labeled_trees(n: int) -> Iterator[Tree]:
-    """Yield every labeled tree on n vertices exactly once (n^(n-2) of them),
-    in lexicographic Prufer-code order. Raises TooLarge above
-    DEFAULT_ENUMERATION_CEILING vertices."""
-    _check_int("n", n)
-    if n < 2:
-        raise TooSmall(f"need n >= 2, got n={n}")
-    if n > DEFAULT_ENUMERATION_CEILING:
-        raise TooLarge(f"n={n} exceeds the enumeration ceiling {DEFAULT_ENUMERATION_CEILING}")
-    for code in product(range(n), repeat=n - 2):
-        yield _decode(code, n)
+    """Every labeled tree on n vertices once (n^(n-2) of them), in lexicographic Prufer-code
+    order. Raises TooLarge above DEFAULT_ENUMERATION_CEILING vertices, at the call."""
+    _check_n(n, DEFAULT_ENUMERATION_CEILING)
+    return (_decode(code, n) for code in _prufer_codes(n, 0, n ** (n - 2)))

@@ -12,10 +12,10 @@ stays cache-sized, and a tree of 256 vertices or more is a batch of its
 own. E1 reads the number and the intersection of the maximal stable sets
 of each size it measures from one pass over the shared rooted view, at
 any n. Corpora are pure functions of their spec: the runner hands each
-worker a slice of corpus indices (with isomorphism dedup, of the kept
-ones), the worker rebuilds those trees, and so any worker count produces
-the same verdicts; ``iter_corpus`` and ``gen`` rebuild theirs from the
-same kept indices, found by one dedup loop (``_kept_indices``). One
+worker a slice of corpus indices (with dedup, of the kept ones, found by
+one loop); ``_trees`` steps through an exhaustive slice from its first
+Prufer code and builds any other tree from its index, for each worker,
+``iter_corpus`` and ``gen``, so any worker count gives the same verdicts. One
 check, shared by ``check_tree`` and ``check_suite``, names every unknown
 claim id.
 
@@ -74,10 +74,11 @@ from .graph_model import (
     SplitMix64,
     Tree,
     _check_int,
+    _decode,
+    _prufer_codes,
     _prufer_draw,
     canonical_form,
     derive_seed,
-    labeled_tree_at,
     labeled_tree_count,
     pendant_vertices,
     tree_from_edges,
@@ -626,22 +627,28 @@ def corpus_tree(spec: CorpusSpec, index: int) -> Tree:
     """Tree number ``index`` of the corpus; pure in (spec, index). Raises
     the errors of ``validate_corpus`` for a bad spec, and OutOfRange for an
     index that is not an int or is outside 0..corpus_size(spec)-1."""
-    validate_corpus(spec)
+    size = corpus_size(spec)
     _check_int("index", index)
-    if spec.mode == "exhaustive" and index >= 0:
-        rest = index
+    if not 0 <= index < size:
+        raise OutOfRange(f"corpus index {index} outside 0..{size - 1}")
+    return next(_trees(spec, [index]))
+
+
+def _trees(spec: CorpusSpec, indices: range | list[int]) -> Iterator[Tree]:
+    """The trees at ``indices`` of a valid spec, in order, checked no more: an exhaustive
+    range (of step 1) is stepped through from its first code, any other index built alone."""
+    if spec.mode == "random":
+        for i in indices:
+            rng = SplitMix64(derive_seed(spec.seed, i))
+            yield _prufer_draw(rng, spec.n_min + rng.randrange(spec.n_max - spec.n_min + 1))
+        return
+    for run in [indices] if type(indices) is range else [range(i, i + 1) for i in indices]:
+        lo, hi = run.start, run.stop
         for n in range(spec.n_min, spec.n_max + 1):
-            # labeled_tree_count(n) without its argument check, which
-            # validate_corpus made for every n here: this runs per tree
             block = n ** (n - 2)
-            if rest < block:
-                return labeled_tree_at(n, rest)
-            rest -= block
-    elif spec.mode == "random" and 0 <= index < spec.sample_size:
-        rng = SplitMix64(derive_seed(spec.seed, index))
-        n = spec.n_min + rng.randrange(spec.n_max - spec.n_min + 1)
-        return _prufer_draw(rng, n)
-    raise OutOfRange(f"corpus index {index} outside 0..{corpus_size(spec) - 1}")
+            for code in _prufer_codes(n, min(max(lo, 0), block), min(max(hi, 0), block)):
+                yield _decode(code, n)
+            lo, hi = lo - block, hi - block
 
 
 def _kept_indices(spec: CorpusSpec) -> range | list[int]:
@@ -652,8 +659,8 @@ def _kept_indices(spec: CorpusSpec) -> range | list[int]:
         return range(corpus_size(spec))
     seen: set[str] = set()
     kept = []
-    for i in range(corpus_size(spec)):
-        form = canonical_form(corpus_tree(spec, i))
+    for i, t in enumerate(_trees(spec, range(corpus_size(spec)))):
+        form = canonical_form(t)
         if form not in seen:
             seen.add(form)
             kept.append(i)
@@ -663,7 +670,7 @@ def _kept_indices(spec: CorpusSpec) -> range | list[int]:
 def iter_corpus(spec: CorpusSpec) -> Iterator[Tree]:
     """Corpus trees in index order, with isomorphism dedup applied if asked;
     the spec is checked, and the kept indices found, at the call."""
-    return map(partial(corpus_tree, spec), _kept_indices(spec))
+    return _trees(spec, _kept_indices(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +685,7 @@ def _fact_batches(spec: CorpusSpec, indices, reads) -> Iterator[list[_TreeFacts]
     than half the budget is checked before the next tree is built, as it
     would be without batches."""
     batch, size = [], 0
-    for i in indices:
-        t = corpus_tree(spec, i)
+    for t in _trees(spec, indices):
         if batch and size + t.n > _BATCH_VERTICES:
             yield batch
             batch, size = [], 0
@@ -740,8 +746,8 @@ def _process_chunk(payload):
 
 
 def _chunk_payloads(spec, claims, witness_limit):
-    """One payload per _CHUNK kept corpus indices; each worker rebuilds its
-    trees from the indices."""
+    """One payload per _CHUNK kept corpus indices; each worker reads its
+    trees from ``_trees``."""
     indices = _kept_indices(spec)
     return [(spec, indices[start:start + _CHUNK], claims, witness_limit)
             for start in range(0, len(indices), _CHUNK)]

@@ -18,7 +18,7 @@ from stablecore import (
     random_tree,
     tree_from_edges,
 )
-from stablecore import cli
+from stablecore import cli, harness
 from stablecore.cli import (
     export_dot,
     format_tree_file,
@@ -505,6 +505,41 @@ def test_unwritable_verify_output_fails_before_the_run(tmp_path, monkeypatch, ca
             "--n-max", "9", "--out", missing]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: cannot write {missing}: No such file or directory\n"
+
+
+def test_failed_verify_leaves_its_report_path_as_it_was(tmp_path, monkeypatch, capsys):
+    # the report path used to be opened for writing before the run, so a run
+    # that then failed left an empty report behind
+    n = str(2**50)
+    argv = ["verify", "--claims", "C7", "--mode", "random", "--n-min", n, "--n-max", n,
+            "--sample", "1", "--seed", "1", "--out"]
+    old = tmp_path / "old.json"
+    old.write_bytes(b'{"earlier": "report"}\n')
+    new = tmp_path / "new.json"
+    link = tmp_path / "link.json"  # a dangling link: its target is a new file
+    link.symlink_to(tmp_path / "target.json")
+    for out in (old, new, link):
+        assert main([*argv, str(out)]) == 1, out
+        assert re.fullmatch(r"error: count=\d+: no memory for a list of that many draws\n",
+                            capsys.readouterr().err), out
+    assert old.read_bytes() == b'{"earlier": "report"}\n'
+    assert link.is_symlink() and not link.exists()
+    link.unlink()
+    assert sorted(tmp_path.iterdir()) == [old]
+    # a directory that does not exist fails before any tree is built
+    def no_build(*args):
+        raise AssertionError("a tree was built before the report path was checked")
+
+    monkeypatch.setattr(harness, "_trees", no_build)
+    missing = tmp_path / "missing-dir" / "out.json"
+    assert main([*argv, str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {missing}: No such file or directory\n"
+    assert sorted(tmp_path.iterdir()) == [old]
+    monkeypatch.undo()
+    # a run that succeeds replaces the earlier report whole
+    assert main(["verify", "--claims", "C7", "--mode", "exhaustive", "--n-min", "2",
+                 "--n-max", "3", "--out", str(old)]) == 0
+    assert json.loads(old.read_text(encoding="utf-8"))[0]["checked"] == 4
 
 
 def test_usage_error_exits_one(capsys):

@@ -33,6 +33,7 @@ from stablecore import (
     tree_from_serialization,
 )
 from stablecore.errors import EmptyResult
+from stablecore.graph_model import _prufer_codes, labeled_tree_at
 
 
 def path(n):
@@ -535,6 +536,69 @@ def test_enumeration_counts_and_distinctness(n, count):
 def test_enumeration_ceiling():
     with pytest.raises(TooLarge):
         next(enumerate_labeled_trees(10))
+
+
+def _base_n_code(index, n):
+    """Code number ``index`` on n vertices: its n - 2 base-n digits, most
+    significant first."""
+    digits = []
+    for _ in range(n - 2):
+        index, d = divmod(index, n)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def test_prufer_codes_match_base_n_digits_at_every_index():
+    # n = 2 has one code, the empty one
+    for n in range(2, 8):
+        total = n ** (n - 2)
+        assert list(_prufer_codes(n, 0, total)) == [_base_n_code(i, n) for i in range(total)], n
+    assert list(_prufer_codes(2, 0, 1)) == [()]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_prufer_codes_match_base_n_digits_on_sub_ranges(n):
+    total = n ** (n - 2)
+    rng = SplitMix64(n)
+    ranges = [(0, 0), (total, total), (0, 1), (total - 1, total), (7, 8),
+              # around the boundaries of blocks of n, n^2, n^3 and n^4 codes
+              (n - 3, n + 3), (n**2 - 1, n**2 + 2 * n + 1), (2 * n**3 - 5, 2 * n**3 + n**2 + 3),
+              (n**4 + 1, 2 * n**4 - 1), (total - n**3 - 2, total)]
+    for _ in range(40):
+        lo = rng.randrange(total)
+        ranges.append((lo, min(total, lo + rng.randrange(3000))))
+    for lo, hi in ranges:
+        assert list(_prufer_codes(n, lo, hi)) == [_base_n_code(i, n) for i in range(lo, hi)], (
+            lo, hi)
+
+
+def test_labeled_tree_at_follows_the_enumeration():
+    for n in range(2, 7):
+        assert [labeled_tree_at(n, i) for i in range(n ** (n - 2))] == list(
+            enumerate_labeled_trees(n))
+    assert labeled_tree_at(9, 9**7 - 1) == prufer_decode([8] * 7, 9)
+
+
+@pytest.mark.parametrize("n, index, error, message", [
+    (5, 125, OutOfRange, r"^index=125 outside 0..124$"),
+    (5, -1, OutOfRange, r"^index=-1 outside 0..124$"),
+    (2, 1, OutOfRange, r"^index=1 outside 0..0$"),
+    (5, 2.0, OutOfRange, r"^index=2.0 is not an int$"),
+    (5, True, OutOfRange, r"^index=True is not an int$"),
+    (5.0, 0, OutOfRange, r"^n=5.0 is not an int$"),
+    (1, 0, TooSmall, r"^need n >= 2, got n=1$"),
+    (10, 0, TooLarge, r"^n=10 exceeds the enumeration ceiling 9$"),
+])
+def test_labeled_tree_at_rejects_what_the_enumeration_lacks(n, index, error, message):
+    # an index past the end used to wrap round to a tree of the enumeration
+    with pytest.raises(error, match=message):
+        labeled_tree_at(n, index)
+
+
+@pytest.mark.parametrize("n, error", [(10, TooLarge), (1, TooSmall), (2.5, OutOfRange)])
+def test_enumeration_checks_its_argument_at_the_call(n, error):
+    with pytest.raises(error):
+        enumerate_labeled_trees(n)
 
 
 # ---------------------------------------------------------------------------

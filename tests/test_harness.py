@@ -36,6 +36,7 @@ from stablecore import (
     is_strong_unique_independent,
     iter_corpus,
     pendant_vertices,
+    prufer_decode,
     random_tree,
     run_claim,
     run_suite,
@@ -44,7 +45,7 @@ from stablecore import (
     tree_from_edges,
     tree_from_serialization,
 )
-from stablecore import harness
+from stablecore import graph_model, harness
 from stablecore.harness import (
     _BATCH_VERTICES,
     _CHUNK,
@@ -64,6 +65,7 @@ from stablecore.harness import (
     _pendant_dp_set,
     _pendants_four_apart,
     _pool_size,
+    _trees,
     _TreeFacts,
 )
 from stablecore.independence import _mask_to_set, _Rooted
@@ -457,6 +459,67 @@ def test_exhaustive_corpus_matches_enumeration():
     assert listed == expected
 
 
+def _tree_by_digits(spec, index):
+    """Exhaustive corpus tree number ``index``, found without the stepper:
+    its size block by Cayley's counts, its code by base-n digits."""
+    for n in range(spec.n_min, spec.n_max + 1):
+        if index < n ** (n - 2):
+            digits = []
+            for _ in range(n - 2):
+                index, d = divmod(index, n)
+                digits.append(d)
+            return prufer_decode(digits[::-1], n)
+        index -= n ** (n - 2)
+    raise AssertionError("index past the corpus")
+
+
+def test_trees_step_through_ranges_across_size_blocks():
+    spec = CorpusSpec("exhaustive", 2, 8)
+    total = corpus_size(spec)
+    starts = [0, 1, 4, 20, 145, 1441, 18248]  # the first index of each size
+    ranges = [range(0, 0), range(total, total), range(0, 30), range(total - 5, total),
+              range(140, 1500), range(18000, 20100), range(3, 3 + _CHUNK)]
+    ranges += [range(b - 3, b + 3) for b in starts[2:]]
+    rng = SplitMix64(8)
+    for _ in range(20):
+        lo = rng.randrange(total)
+        ranges.append(range(lo, min(total, lo + rng.randrange(2 * _CHUNK))))
+    for r in ranges:
+        assert list(_trees(spec, r)) == [_tree_by_digits(spec, i) for i in r], r
+    # an index list, as isomorphism dedup keeps, is built index by index
+    kept = sorted({rng.randrange(total) for _ in range(200)})
+    assert list(_trees(spec, kept)) == [_tree_by_digits(spec, i) for i in kept]
+
+
+def test_exhaustive_walks_decode_each_tree_once_and_skip_the_per_index_path(monkeypatch):
+    # iter_corpus and a worker's chunk step through their Prufer codes: one
+    # decode a tree, and neither labeled_tree_at nor corpus_tree
+    decoded = []
+    decode = graph_model._decode
+
+    def counted(code, n):
+        t = decode(code, n)
+        decoded.append(t)
+        return t
+
+    def per_index(*args):
+        raise AssertionError("an exhaustive walk built a tree by its index")
+
+    # _decode is bound in both modules that walk the corpus
+    monkeypatch.setattr(graph_model, "_decode", counted)
+    monkeypatch.setattr(harness, "_decode", counted)
+    for module in (graph_model, harness):
+        monkeypatch.setattr(module, "labeled_tree_at", per_index, raising=False)
+    monkeypatch.setattr(harness, "corpus_tree", per_index)
+    walked = list(iter_corpus(CORPUS_26))
+    assert len(walked) == 1 + 3 + 16 + 125 + 1296
+    assert len(decoded) == len(walked) and all(a is b for a, b in zip(decoded, walked))
+    assert walked == [_tree_by_digits(CORPUS_26, i) for i in range(len(walked))]
+    decoded.clear()
+    assert run_suite(["C7"], CORPUS_26)[0].checked == len(walked)
+    assert decoded == walked
+
+
 def test_corpus_tree_rejects_indices_and_specs_outside_the_corpus():
     exhaustive = CorpusSpec(mode="exhaustive", n_min=2, n_max=5)
     last = corpus_size(exhaustive) - 1
@@ -595,8 +658,9 @@ def test_batched_runner_matches_eager_reference_across_the_budget():
 
 def _checked_batches(monkeypatch, claims, spec):
     """The batches of a one-worker run_suite call, from spies on the
-    checkers and on ``corpus_tree``: the calls must come claim by claim over
-    one batch of facts, in the order of ``claims``, before the next batch.
+    checkers and on the trees ``_trees`` yields: the calls must come claim
+    by claim over one batch of facts, in the order of ``claims``, before the
+    next batch.
     Returns each batch's trees and how many trees were built before its
     last check."""
     events = []  # a built tree, or (claim, facts) for a checker call
@@ -608,14 +672,14 @@ def _checked_batches(monkeypatch, claims, spec):
             return real(facts)
 
         monkeypatch.setitem(harness._CLAIMS, c, (spy, reads))
-    build = harness.corpus_tree
+    walk = harness._trees
 
-    def built(spec, i):
-        t = build(spec, i)
-        events.append(t)
-        return t
+    def built(spec, indices):
+        for t in walk(spec, indices):
+            events.append(t)
+            yield t
 
-    monkeypatch.setattr(harness, "corpus_tree", built)
+    monkeypatch.setattr(harness, "_trees", built)
     run_suite(claims, spec, jobs=1)
     runs = []  # [claim, facts seen, trees built by its last call] for each run of one claim
     trees = 0
