@@ -9,15 +9,17 @@ claims read (the fact plan). It builds them for a batch of consecutive
 trees, at most 256 vertices in all, then runs each claim over the whole
 batch before the next claim; the bound is in vertices so that a batch
 stays cache-sized, and a tree of 256 vertices or more is a batch of its
-own. E1 reads the number and the intersection of the maximal stable sets
-of each size it measures from one pass over the shared rooted view, at
-any n. Corpora are pure functions of their spec: the runner hands each
-worker a slice of corpus indices (with dedup, of the kept ones, found by
-one loop); ``_trees`` steps through an exhaustive slice from its first
-Prufer code and builds any other tree from its index, for each worker,
-``iter_corpus`` and ``gen``, so any worker count gives the same verdicts. One
-check, shared by ``check_tree`` and ``check_suite``, names every unknown
-claim id.
+own. An exhaustive chunk's trees of one parent sequence share the tables
+built from it alone, one memo a chunk (at most 2,055 entries); a random
+tree's sequence almost never recurs, so it builds its own. E1 reads the
+number and the intersection of the maximal stable sets of each size it
+measures from one pass over the shared rooted view, at any n. Corpora
+are pure functions of their spec: the runner hands each worker a slice of
+corpus indices (with dedup, of the kept ones, found by one loop);
+``_trees`` steps through an exhaustive slice from its first Prufer code
+and builds any other tree from its index, for each worker, ``iter_corpus``
+and ``gen``, so any worker count gives the same verdicts. One check,
+shared by ``check_tree`` and ``check_suite``, names every unknown claim id.
 
 Registry:
 
@@ -137,19 +139,16 @@ def serialize_tree(t: Tree) -> str:
 
 
 def tree_from_serialization(s: str) -> Tree:
-    """Inverse of ``serialize_tree``. Raises ParseError (line 1) on text
-    that is not of its form, or the errors of tree validation."""
+    """Inverse of ``serialize_tree``: every number as ``str`` writes an int.
+    Raises ParseError (line 1) on other text, or the errors of tree validation."""
     head, _, rest = s.partition(":")
+    pairs = [part.partition("-")[::2] for part in rest.split(",")] if rest else []
     try:
-        n = int(head)
-        edges = []
-        if rest:
-            for part in rest.split(","):
-                u, _, v = part.partition("-")
-                edges.append((int(u), int(v)))
+        if any(str(int(f)) != f for f in [head, *[f for pair in pairs for f in pair]]):
+            raise ValueError(s)
     except ValueError:
         raise ParseError(f"not a serialized tree: {s!r}", line=1) from None
-    return tree_from_edges(n, edges)
+    return tree_from_edges(int(head), [(int(u), int(v)) for u, v in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,8 @@ class _TreeFacts:
     always, and of the families in ``_FAMILIES`` those in ``reads`` (by
     default all of them), as ``_CLAIMS`` names them per claim. A family
     left out stays an unset slot, so a checker that reads a family missing
-    from its claim's entry fails with an AttributeError.
+    from its claim's entry fails with an AttributeError. Views built through
+    one ``memo`` share their positional tables, pendant DP sizes included.
 
     ``bip`` (the sides) comes only with ``core``, from one top-down pass.
     ``free`` is alpha(T - P), the size of the largest stable set
@@ -192,9 +192,9 @@ class _TreeFacts:
 
     __slots__ = ("tree", "rooted", "alpha", "core", "pend", "bip", "free", "lonely")
 
-    def __init__(self, tree: Tree, reads: AbstractSet[str] = _FAMILIES):
+    def __init__(self, tree: Tree, reads: AbstractSet[str] = _FAMILIES, memo: dict | None = None):
         self.tree = tree
-        self.rooted = view = _Rooted(tree)
+        self.rooted = view = _Rooted(tree, 0, memo)
         self.alpha = view.alpha()
         if "bip" in reads:
             self.core, self.bip = view.core_and_sides()
@@ -204,18 +204,21 @@ class _TreeFacts:
             self.pend = pendant_vertices(tree)
         lonely = "lonely" in reads
         if lonely or "free" in reads:
-            free, lonely_size, _ = _pendant_dp(tree, self.pend, view, lonely)
+            shape = view.shape or view
+            if shape.pendant is None or lonely and shape.pendant[1] is None:
+                shape.pendant = _pendant_dp(tree, None, view, lonely)[:2]
             if "free" in reads:
-                self.free = free
+                self.free = shape.pendant[0]
             if lonely:
-                self.lonely = lonely_size
+                self.lonely = shape.pendant[1]
 
 
-def _pendant_dp(t: Tree, pend: frozenset[int], view: _Rooted, lonely: bool):
+def _pendant_dp(t: Tree, pend: frozenset[int] | None, view: _Rooted, lonely: bool):
     """Downward DP over the rooted view ``view`` of t with the pendants
     ``pend`` left out. One sweep gives alpha(T - P), the size of the largest
     stable set with no pendant member, and with ``lonely`` the size of the
-    largest lonely stable set S, else None.
+    largest lonely stable set S, else None. ``pend`` None stands for t's own
+    pendants: past position 1, the root's child, a position is a parent iff not pendant.
 
     Per non-pendant position i, the optimum over its subtree and its
     pendants with it in S (take[i]), with one of its pendants in S and so
@@ -226,20 +229,24 @@ def _pendant_dp(t: Tree, pend: frozenset[int], view: _Rooted, lonely: bool):
     Returns the two sizes, and the non-pendant positions with the tables
     (take, hang, skip) of the lonely set with ``lonely``, else of the set
     with no pendant member."""
-    order, parent_at = view.order, view.parent_at
-    inner = [i for i, v in enumerate(order) if v not in pend]
+    parent_at = view.parent_at
+    m = len(parent_at)
+    if pend is None:  # parent_at never decreases, so these come in order
+        inner = list(dict.fromkeys(parent_at[2:]))
+    else:
+        inner = [i for i, v in enumerate(view.order) if v not in pend]
     if not inner:  # the single edge: T - P is empty
         return 0, 0 if lonely else None, None
-    take = [1] * t.n
-    skip = [0] * t.n
-    hang = [_NEG_INF] * t.n
+    take = [1] * m
+    skip = [0] * m
+    hang = [_NEG_INF] * m
     free_take, free_skip = (take[:], skip[:]) if lonely else (take, skip)
     if lonely:
         # a pendant hangs on its parent; a pendant root on its one child,
         # which sits at position 1
-        for v, p in zip(order, parent_at):
-            if v in pend:
-                hang[p if p >= 0 else 1] = 1
+        inside = set(inner)
+        for p in compress(parent_at, [i not in inside for i in range(m)]):
+            hang[p if p >= 0 else 1] = 1
     # every non-pendant but the first has a non-pendant parent
     for i in inner[:0:-1]:
         p = parent_at[i]
@@ -414,16 +421,17 @@ def _bonding_splits(t: Tree, view: _Rooted, up_in: list[int], up_ex: list[int]):
                    rest_in if rest_in > rest_ex else rest_ex, rest_in > rest_ex)
 
 
-def _deletion_set(view: _Rooted, up_in: list[int], up_ex: list[int]) -> frozenset[int]:
-    """The x with alpha(T - x) = alpha(T) - 1, alpha(T - x) being x's subtree
-    optimum with x out plus the optimum above x. Where v is in both factor
-    cores, alpha(T - x) = alpha(T1 - x) + alpha(T2) - 1 for x != v in T1's
-    branch, so this is the union of the factor cores at every such split."""
-    target = view.alpha() - 1
-    return frozenset(compress(view.order, [
-        de + (ui if ui > ue else ue) == target
-        for de, ui, ue in zip(view.down_ex, up_in, up_ex)
-    ]))
+def _deletion_set(view: _Rooted) -> frozenset[int]:
+    """The x with alpha(T - x) = alpha(T) - 1 (selectors kept in the shape),
+    alpha(T - x) being x's subtree optimum with x out plus the optimum above
+    x. Where v is in both factor cores, alpha(T - x) = alpha(T1 - x) +
+    alpha(T2) - 1 for x != v in T1's branch: the union of the factor cores."""
+    shape = view.shape or view
+    if shape.deleted is None:
+        target = view.alpha() - 1
+        shape.deleted = [de + (ui if ui > ue else ue) == target
+                         for de, ui, ue in zip(view.down_ex, *view.up())]
+    return frozenset(compress(view.order, shape.deleted))
 
 
 def _check_c9(facts: _TreeFacts):
@@ -435,7 +443,7 @@ def _check_c9(facts: _TreeFacts):
     up = facts.rooted.up()
     # the union of the factor cores is the same at every split, so it is
     # compared with core(T) once, not at each split
-    factor_union = _deletion_set(facts.rooted, *up)
+    factor_union = _deletion_set(facts.rooted)
     union_is_core = factor_union == core_t
     for v, u, alpha1, in_core1, alpha2, in_core2 in _bonding_splits(t, facts.rooted, *up):
         bonded_in_core = v in core_t
@@ -683,13 +691,14 @@ def _fact_batches(spec: CorpusSpec, indices, reads) -> Iterator[list[_TreeFacts]
     that many vertices or more is a batch of its own. A batch closes as soon
     as another tree of its last tree's size would not fit, so a tree of more
     than half the budget is checked before the next tree is built, as it
-    would be without batches."""
+    would be without batches. An exhaustive chunk's views share one memo."""
     batch, size = [], 0
+    memo = {} if spec.mode == "exhaustive" else None
     for t in _trees(spec, indices):
         if batch and size + t.n > _BATCH_VERTICES:
             yield batch
             batch, size = [], 0
-        batch.append(_TreeFacts(t, reads))
+        batch.append(_TreeFacts(t, reads, memo))
         size += t.n
         if size + t.n > _BATCH_VERTICES:
             yield batch
@@ -708,8 +717,8 @@ def _process_chunk(payload):
     large tree keeps the per-tree order. Each claim keeps its witnesses as
     (key, result) pairs sorted by the canonical key (n, serialization), and
     with a limit only the first ``witness_limit``. A tree's key is computed
-    once, when a claim first gives it a witness; an unbuilt witness is
-    built only if it is kept."""
+    once, when a claim first gives it a witness; a witness is kept unbuilt
+    and built, with its result, when the chunk ends."""
     spec, indices, claims, witness_limit = payload
     stats = {c: [0, 0, 0, []] for c in claims}
     reads = frozenset().union(*[_CLAIMS[c][1] for c in claims])
@@ -738,10 +747,10 @@ def _process_chunk(payload):
                     if not kept or key >= kept[-1][0]:
                         continue
                     kept.pop()
-                if callable(witness):
-                    witness = witness()
-                result = ClaimResult(claim=c, tree=key[1], status=status, witness=witness)
-                insort(kept, (key, result), key=itemgetter(0))
+                insort(kept, (key, status, witness), key=itemgetter(0))
+    for c in claims:
+        stats[c][3] = [(key, ClaimResult(c, key[1], status, w() if callable(w) else w))
+                       for key, status, w in stats[c][3]]
     return stats
 
 

@@ -6,6 +6,7 @@ the subtree root forced in or out, and a top-down pass puts each vertex in
 every, some or no maximum stable set; where the bipartition is wanted too,
 the same pass takes each vertex's depth parity. The upward pass, which
 gives the stability number of T - v for every v, serves claim C9 alone.
+Views of trees with one parent sequence may share these tables (``_Shape``).
 
 One bottom-up recurrence over the same view counts or lists the maximal
 stable sets, or gives E1 their number and intersection at each size. The
@@ -30,25 +31,15 @@ from .graph_model import (
 _IN_EVERY = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x01")
 
 
-class _Rooted:
-    """A tree rooted at vertex ``root`` with its downward include/exclude DP,
-    built once and read by every stability quantity; ``up`` by C9 alone.
+class _Shape:
+    """The tables of a rooted view that depend on its parent sequence alone,
+    each built at most once: the downward DP at once, the rest (two of them
+    harness's) when first read. A shape may be shared: no table changes once built."""
 
-    Every table is indexed by breadth-first position, not by vertex label:
-    ``order[i]`` is the vertex at position i (the root at 0) and
-    ``parent_at[i]`` the position of its parent, -1 at the root (see
-    ``graph_model._bfs_order``); down_in[i]/down_ex[i] are the optima of
-    the subtree of ``order[i]`` with it forced in/out. Parents come before
-    children and ``parent_at`` never decreases, so each pass below is one
-    sequential sweep over its tables; labels come back only in the sets it
-    returns, selected from ``order``.
-    """
+    __slots__ = ("parent_at", "down_in", "down_ex", "top", "chosen", "upward", "deleted", "pendant")
 
-    __slots__ = ("order", "parent_at", "down_in", "down_ex")
-
-    def __init__(self, t: Tree, root: int = 0):
-        order, parent_at = _bfs_order(t, root)
-        m = len(order)
+    def __init__(self, parent_at: list[int]):
+        m = len(parent_at)
         down_in = [1] * m
         down_ex = [0] * m
         i = m - 1
@@ -58,21 +49,13 @@ class _Rooted:
             down_in[p] += de
             down_ex[p] += di if di > de else de
             i -= 1
-        self.order = order
-        self.parent_at = parent_at
-        self.down_in = down_in
-        self.down_ex = down_ex
+        self.parent_at, self.down_in, self.down_ex = parent_at, down_in, down_ex
+        self.top = self.chosen = self.upward = self.deleted = self.pendant = None
 
-    def alpha(self) -> int:
-        di = self.down_in[0]
-        de = self.down_ex[0]
-        return di if di > de else de
-
-    def up(self) -> tuple[list[int], list[int]]:
+    def up_pass(self) -> tuple[list[int], list[int]]:
         """Upward pass: for each non-root position i, the optimum of the
         branch behind its parent, away from i, with the parent forced in
-        (up_in[i]) or out (up_ex[i]); 0 at the root. Fresh lists each call;
-        nothing is kept."""
+        (up_in[i]) or out (up_ex[i]); 0 at the root."""
         down_in, down_ex = self.down_in, self.down_ex
         m = len(down_in)
         up_in = [0] * m
@@ -86,21 +69,17 @@ class _Rooted:
             up_ex[i] = down_ex[p] - (di if di > de else de) + (ui if ui > ue else ue)
             up_in[i] = down_in[p] - de + ue
             i += 1
-        return up_in, up_ex
+        self.upward = up_in, up_ex
+        return self.upward
 
-    def core(self) -> frozenset[int]:
-        """The vertices in every maximum stable set (see ``core_and_sides``)."""
-        return self.core_and_sides(False)[0]
-
-    def core_and_sides(self, sides: bool = True) -> tuple[frozenset[int], Bipartition | None]:
-        """The core and, with ``sides``, the bipartition (else None), from
-        one top-down pass. It puts each vertex in every (2), some (1) or no
-        (0) maximum stable set, and the core is the vertices in every set.
-        Where the parent is in none, the subtree is optimal on its own, so
-        the root and such a child follow their own down_in against down_ex;
-        a child of a vertex in every set is in none; a child of a vertex in
-        some is in none if down_in < down_ex, else in some. The sides are
-        the depth parities, side ``a`` holding the root."""
+    def top_down(self, sides: bool) -> tuple[bytes, bytearray | None]:
+        """One top-down pass. It puts each vertex in every (2), some (1) or
+        no (0) maximum stable set. Where the parent is in none, the subtree
+        is optimal on its own, so the root and such a child follow their own
+        down_in against down_ex; a child of a vertex in every set is in
+        none; a child of a vertex in some is in none if down_in < down_ex,
+        else in some. Gives the selectors of the vertices in every set and,
+        with ``sides``, the depth parities (else None)."""
         down_in, down_ex = self.down_in, self.down_ex
         m = len(down_in)
         state = bytearray(m)
@@ -118,8 +97,62 @@ class _Rooted:
             elif sp == 1:
                 state[i] = down_in[i] >= down_ex[i]
             i += 1
-        core = frozenset(compress(self.order, state.translate(_IN_EVERY)))
-        return core, _sides(self.order, odd) if sides else None
+        self.top = state.translate(_IN_EVERY), odd
+        return self.top
+
+
+class _Rooted(_Shape):
+    """A tree rooted at vertex ``root``: its labels ``order`` and the
+    positional tables of ``_Shape``, read by every stability quantity
+    (``up`` by C9 alone).
+
+    Every table is indexed by breadth-first position, not by vertex label:
+    ``order[i]`` is the vertex at position i (the root at 0) and
+    ``parent_at[i]`` the position of its parent, -1 at the root (see
+    ``graph_model._bfs_order``); down_in[i]/down_ex[i] are the optima of
+    the subtree of ``order[i]`` with it forced in/out. Parents come before
+    children and ``parent_at`` never decreases, so each pass is one
+    sequential sweep over its tables; labels come back only in the sets
+    returned, selected from ``order``. A view built alone is its own shape
+    (``shape`` None); through a ``memo`` dict, views of one parent sequence
+    share one ``_Shape``: ``shape or view`` holds the tables.
+    """
+
+    __slots__ = ("order", "shape")
+
+    def __init__(self, t: Tree, root: int = 0, memo: dict | None = None):
+        self.order, parent_at = _bfs_order(t, root)
+        if memo is None:
+            _Shape.__init__(self, parent_at)
+            self.shape = None
+            return
+        key = tuple(parent_at)
+        shape = self.shape = memo.get(key) or memo.setdefault(key, _Shape(parent_at))
+        self.parent_at, self.down_in, self.down_ex = shape.parent_at, shape.down_in, shape.down_ex
+
+    def alpha(self) -> int:
+        di = self.down_in[0]
+        de = self.down_ex[0]
+        return di if di > de else de
+
+    def up(self) -> tuple[list[int], list[int]]:
+        """The shape's tables from ``_Shape.up_pass``: read, never change."""
+        shape = self.shape or self
+        return shape.upward or shape.up_pass()
+
+    def core(self) -> frozenset[int]:
+        """The vertices in every maximum stable set (see ``core_and_sides``)."""
+        return self.core_and_sides(False)[0]
+
+    def core_and_sides(self, sides: bool = True) -> tuple[frozenset[int], Bipartition | None]:
+        """The core and, with ``sides``, the bipartition (else None; side
+        ``a`` holds the root), from the shape's one ``top_down`` pass."""
+        shape = self.shape or self
+        top = shape.top
+        if top is None or sides and top[1] is None:
+            top = shape.top_down(sides)
+        core = frozenset(compress(self.order, top[0]))
+        return core, _sides(self.order, top[1]) if sides else None
 
     def count(self) -> int:
         """Number of maximum stable sets: the DP multiplicities of each
@@ -154,16 +187,19 @@ class _Rooted:
 
     def one_set(self) -> frozenset[int]:
         """Deterministic maximum stable set: top-down, take a vertex when its
-        parent is out and forcing it in is optimal."""
-        down_in, down_ex = self.down_in, self.down_ex
-        chosen = bytearray(len(down_in))
-        chosen[0] = down_in[0] >= down_ex[0]
-        i = 1
-        for p in self.parent_at[1:]:
-            if not chosen[p]:
-                chosen[i] = down_in[i] >= down_ex[i]
-            i += 1
-        return frozenset(compress(self.order, chosen))
+        parent is out and forcing it in is optimal (selectors kept in the shape)."""
+        shape = self.shape or self
+        if shape.chosen is None:
+            down_in, down_ex = self.down_in, self.down_ex
+            chosen = bytearray(len(down_in))
+            chosen[0] = down_in[0] >= down_ex[0]
+            i = 1
+            for p in self.parent_at[1:]:
+                if not chosen[p]:
+                    chosen[i] = down_in[i] >= down_ex[i]
+                i += 1
+            shape.chosen = chosen
+        return frozenset(compress(self.order, shape.chosen))
 
 
 def alpha(t: Tree) -> int:

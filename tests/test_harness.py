@@ -1,6 +1,8 @@
 import ast
 import importlib
 import inspect
+import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -68,7 +70,8 @@ from stablecore.harness import (
     _trees,
     _TreeFacts,
 )
-from stablecore.independence import _mask_to_set, _Rooted
+from stablecore.graph_model import _bfs_order
+from stablecore.independence import _mask_to_set, _Rooted, _Shape
 from stablecore.reference import maximal_stable_masks, stable_masks
 
 
@@ -177,7 +180,12 @@ def test_serialization_round_trip():
     assert serialize_tree(path(3)) == "3:0-1,1-2"
 
 
-@pytest.mark.parametrize("text", ["3:0-1,x-2", "abc", "", "3:0-1,1", "2:0-1-"])
+@pytest.mark.parametrize("text", [
+    "3:0-1,x-2", "abc", "", "3:0-1,1", "2:0-1-",
+    # int() reads each of these as P3, but serialize_tree never writes a
+    # sign, an underscore, a space, a leading zero or a non-ASCII digit
+    "3:0-1,1-+2", "3:0-1,1-0_2", " 3:0-1,1-2", "03:0-1,1-2", "3:0-1,1-\u0662",
+])
 def test_serialization_rejects_malformed_text(text):
     with pytest.raises(ParseError) as exc:
         tree_from_serialization(text)
@@ -749,7 +757,8 @@ def test_e1_builds_measurements_only_for_kept_witnesses(monkeypatch):
     monkeypatch.setattr(harness, "_maximal_profile", counted)
     spec = CorpusSpec("exhaustive", 2, 7)
     assert run_claim("E1", spec).checked == 18_248
-    assert 0 < calls <= 1_000
+    # the 16 witnesses each of the 9 chunks keeps, built when the chunk ends
+    assert calls == 9 * 16
     calls = 0
     assert len(run_claim("E1", spec, witness_limit=None).witnesses) == 18_248
     assert calls == 18_248
@@ -923,7 +932,7 @@ def test_c9_split_values_match_factor_trees():
             (v, u) for v in range(t.n) if t.degree(v) >= 2 for u in t.adjacency[v]
         ]
         core_t = view.core()
-        deleted = _deletion_set(view, up_in, up_ex)
+        deleted = _deletion_set(view)
         for v, u, alpha1, in_core1, alpha2, in_core2 in got:
             t1, v1, map1, t2, v2, map2 = _split_at(t, v, u)
             core1, core2 = core(t1), core(t2)
@@ -941,19 +950,27 @@ def test_c9_split_values_match_factor_trees():
 
 def test_upward_pass_runs_once_per_c9_tree_and_nowhere_else(monkeypatch):
     calls = 0
-    up = _Rooted.up
+    up_pass = _Shape.up_pass
 
-    def counted(view):
+    def counted(shape):
         nonlocal calls
         calls += 1
-        return up(view)
+        return up_pass(shape)
 
-    monkeypatch.setattr(_Rooted, "up", counted)
-    run_suite(CLAIM_IDS, CORPUS_26, jobs=1)
-    assert calls == corpus_size(CORPUS_26) - 1  # every tree but the single edge
-    calls = 0
-    run_suite([c for c in CLAIM_IDS if c != "C9"], CORPUS_26, jobs=1)
-    assert calls == 0
+    monkeypatch.setattr(_Shape, "up_pass", counted)
+    # an exhaustive chunk shares it between the trees of one parent
+    # sequence: once per sequence on 3..6 vertices (the single edge has no
+    # internal vertex), and once per tree on a random corpus
+    sequences = {tuple(_bfs_order(t, 0)[1]) for t in iter_corpus(CORPUS_26) if t.n >= 3}
+    assert len(sequences) == 2 + 5 + 14 + 42
+    spec = CorpusSpec(mode="random", n_min=3, n_max=30, sample_size=50, seed=4)
+    for corpus, expected in ((CORPUS_26, len(sequences)), (spec, 50)):
+        calls = 0
+        run_suite(CLAIM_IDS, corpus, jobs=1)
+        assert calls == expected
+        calls = 0
+        run_suite([c for c in CLAIM_IDS if c != "C9"], corpus, jobs=1)
+        assert calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -986,8 +1003,9 @@ def test_a_family_left_out_of_the_plan_is_an_unset_slot():
 
 def _spy_on_fact_builders(monkeypatch):
     """Patch the builders of the fact families to record each call: the
-    pendant set, the top-down pass (with or without sides) and the pendant
-    DP (with or without the lonely set)."""
+    label sets (the pendant set, the core with or without the sides) and
+    the positional passes (the top-down pass with or without sides, the
+    pendant DP with or without the lonely set)."""
     built = []
 
     def spy(owner, name, label):
@@ -1002,6 +1020,7 @@ def _spy_on_fact_builders(monkeypatch):
     spy(harness, "pendant_vertices", lambda t: "pend")
     spy(_Rooted, "core_and_sides",
         lambda view, sides=True: "core+sides" if sides else "core")
+    spy(_Shape, "top_down", lambda shape, sides: "top+sides" if sides else "top")
     spy(harness, "_pendant_dp",
         lambda t, pend, view, lonely: "free+lonely" if lonely else "free")
     return built
@@ -1010,20 +1029,114 @@ def _spy_on_fact_builders(monkeypatch):
 _RANDOM_200_CLAIMS = ["C3", "C4", "C5", "C7", "C10", "C11", "C12", "C13"]
 
 
-@pytest.mark.parametrize("claims, per_tree", [
-    (["C7"], ["core"]),
-    (_RANDOM_200_CLAIMS, ["core+sides", "pend", "free"]),
-    (["C4", "E1"], ["core+sides", "pend"]),
-    (["C2"], ["pend", "free+lonely"]),
-    (list(CLAIM_IDS), ["core+sides", "pend", "free+lonely"]),
+@pytest.mark.parametrize("claims, per_tree, per_sequence", [
+    (["C7"], ["core"], ["top"]),
+    (_RANDOM_200_CLAIMS, ["core+sides", "pend"], ["top+sides", "free"]),
+    (["C4", "E1"], ["core+sides", "pend"], ["top+sides"]),
+    (["C2"], ["pend"], ["free+lonely"]),
+    (list(CLAIM_IDS), ["core+sides", "pend"], ["top+sides", "free+lonely"]),
 ], ids=["C7", "random-200", "C4-E1", "C2", "all"])
-def test_each_tree_builds_the_families_its_claims_read_once(monkeypatch, claims, per_tree):
+def test_each_tree_builds_the_families_its_claims_read_once(
+    monkeypatch, claims, per_tree, per_sequence
+):
+    # the label sets are built once per tree; the positional passes once per
+    # parent sequence in an exhaustive chunk (CORPUS_26 is one chunk of 64
+    # sequences), and once per tree on a random corpus
     built = _spy_on_fact_builders(monkeypatch)
-    for spec in (CORPUS_26, CorpusSpec(mode="random", n_min=20, n_max=60, sample_size=40, seed=9)):
+    for spec, sequences in ((CORPUS_26, 1 + 2 + 5 + 14 + 42),
+                            (CorpusSpec(mode="random", n_min=20, n_max=60, sample_size=40, seed=9),
+                             40)):
         built.clear()
         run_suite(claims, spec, jobs=1)
         # no claim here is refuted on a tree the witness would rebuild a DP for
-        assert built == per_tree * corpus_size(spec), claims
+        expected = Counter({f: corpus_size(spec) for f in per_tree})
+        expected.update({f: sequences for f in per_sequence})
+        assert Counter(built) == expected, claims
+
+
+def test_each_checker_runs_once_per_tree_with_a_shared_memo(monkeypatch):
+    # the memo shares tables, never verdicts: every checker sees every tree
+    calls = Counter()
+    for c in CLAIM_IDS:
+        real, reads = harness._CLAIMS[c]
+
+        def spy(facts, c=c, real=real):
+            calls[c] += 1
+            return real(facts)
+
+        monkeypatch.setitem(harness._CLAIMS, c, (spy, reads))
+    run_suite(CLAIM_IDS, CorpusSpec(mode="exhaustive", n_min=2, n_max=7), jobs=1)
+    assert calls == {c: 18_248 for c in CLAIM_IDS}
+
+
+# ---------------------------------------------------------------------------
+# the memo: one shape of positional tables per parent sequence
+
+
+def _catalan(k):
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def _what_claims_read(facts):
+    return (facts.alpha, facts.core, facts.bip, facts.pend, facts.free, facts.lonely,
+            facts.rooted.one_set(), facts.rooted.up(), _deletion_set(facts.rooted))
+
+
+def test_facts_through_one_memo_equal_facts_built_alone():
+    # every labeled tree on 2..8 vertices, each n through one memo, holding
+    # one shape per plane tree: Catalan(n - 1) of them
+    for n in range(2, 9):
+        spec = CorpusSpec(mode="exhaustive", n_min=n, n_max=n)
+        memo = {}
+        for t in _trees(spec, range(corpus_size(spec))):
+            shared = _TreeFacts(t, memo=memo)
+            assert shared.rooted.shape is memo[tuple(shared.rooted.parent_at)]
+            alone = _TreeFacts(t)
+            assert alone.rooted.shape is None
+            assert _what_claims_read(shared) == _what_claims_read(alone), serialize_tree(t)
+        assert len(memo) == _catalan(n - 1) == [1, 2, 5, 14, 42, 132, 429][n - 2]
+
+
+def _shape_tree(key):
+    """The tree on positions 0..m-1 with the parent sequence ``key``: its
+    breadth-first order from 0 is the identity, so its view has ``key``."""
+    return tree_from_edges(len(key), [(i, p) for i, p in enumerate(key) if p >= 0])
+
+
+def test_memo_tables_are_left_as_built(monkeypatch):
+    # a shared table is read by every later tree of its sequence: after a
+    # chunk run, each one still equals a fresh build from its key
+    memos = []
+    facts = harness._TreeFacts
+
+    def recorded(t, reads, memo):
+        if not any(memo is m for m in memos):
+            memos.append(memo)
+        return facts(t, reads, memo)
+
+    monkeypatch.setattr(harness, "_TreeFacts", recorded)
+    spec = CorpusSpec(mode="exhaustive", n_min=2, n_max=7)
+    for payload in harness._chunk_payloads(spec, list(CLAIM_IDS), 16):
+        harness._process_chunk(payload)
+    assert len(memos) == 9
+    for memo in memos:
+        for key, shape in memo.items():
+            t = _shape_tree(key)
+            view = _Rooted(t)
+            assert view.order == list(range(t.n)) and tuple(view.parent_at) == key
+            assert (shape.parent_at, shape.down_in, shape.down_ex) == (
+                view.parent_at, view.down_in, view.down_ex)
+            assert shape.top == view.top_down(True)
+            view.one_set()
+            assert shape.chosen == view.chosen
+            if t.n > 2:
+                _deletion_set(view)
+                assert shape.upward == view.up() and shape.deleted == view.deleted
+            else:  # C9 reads no table on the single edge
+                assert shape.upward is shape.deleted is None
+            assert shape.pendant == _pendant_dp(t, pendant_vertices(t), view, True)[:2]
+    # every parent sequence on 2..7 vertices was built in some chunk
+    assert len({key for memo in memos for key in memo}) == sum(_catalan(k) for k in range(1, 7))
 
 
 class _CountedCore(frozenset):

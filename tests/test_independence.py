@@ -748,5 +748,5 @@ def test_top_down_core_matches_rerooting_core_on_large_trees():
         by_matching = core_by_matching(t)
         for root in (0, SplitMix64(seed).randrange(n)):
             view = _Rooted(t, root)
-            deleted = _deletion_set(view, *view.up())
+            deleted = _deletion_set(view)
             assert view.core() == deleted == core(t) == by_matching, (n, seed, root)
